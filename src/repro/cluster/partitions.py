@@ -70,25 +70,26 @@ class Partitioning:
         self.universe = universe
         self.equivalence_sets = eq_sets
 
-        # Group nodes by membership signature.
-        signature_groups: dict[frozenset[int], set[str]] = {}
+        # Group nodes by membership signature: bit i set = in eq_sets[i].
+        signature: dict[str, int] = {}
+        for i, es in enumerate(eq_sets):
+            bit = 1 << i
+            for node in es:
+                signature[node] = signature.get(node, 0) | bit
+        groups: dict[int, list[str]] = {}
         for node in universe:
-            sig = frozenset(i for i, es in enumerate(eq_sets) if node in es)
-            signature_groups.setdefault(sig, set()).add(node)
+            groups.setdefault(signature.get(node, 0), []).append(node)
 
         self.partitions: list[Partition] = []
-        self._eqset_to_pids: dict[frozenset[str], tuple[int, ...]] = {
-            es: () for es in eq_sets}
-        sig_to_pid: dict[frozenset[int], int] = {}
-        for sig, nodes in sorted(signature_groups.items(),
-                                 key=lambda kv: sorted(kv[1])[0]):
+        pids_of: list[list[int]] = [[] for _ in eq_sets]
+        for sig, nodes in sorted(groups.items(), key=lambda kv: min(kv[1])):
             pid = len(self.partitions)
             self.partitions.append(Partition(pid, frozenset(nodes)))
-            sig_to_pid[sig] = pid
-        for sig, pid in sig_to_pid.items():
-            for i in sig:
-                es = eq_sets[i]
-                self._eqset_to_pids[es] = self._eqset_to_pids[es] + (pid,)
+            for i in range(len(eq_sets)):
+                if sig >> i & 1:
+                    pids_of[i].append(pid)
+        self._eqset_to_pids: dict[frozenset[str], tuple[int, ...]] = {
+            es: tuple(pids) for es, pids in zip(eq_sets, pids_of)}
 
     def partitions_of(self, equivalence_set: frozenset[str]) -> tuple[Partition, ...]:
         """Partitions whose union is exactly the given equivalence set.

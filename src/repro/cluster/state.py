@@ -16,7 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ClusterError, SchedulerError
+
+#: Held-quanta value of a drained node: occupied at every horizon.
+HELD_FOREVER = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -44,9 +49,17 @@ class ClusterState:
         if not universe:
             raise ClusterError("universe must not be empty")
         self.universe = universe
+        #: Node names in sorted order; a node's position here is its row
+        #: in every per-node array (:meth:`held_quanta`, the plan
+        #: accumulator's occupancy grid).
+        self.node_order: tuple[str, ...] = tuple(sorted(universe))
+        self._node_index = {n: i for i, n in enumerate(self.node_order)}
         self._allocations: dict[str, RunningAllocation] = {}
         self._node_owner: dict[str, str] = {}
         self._drained: set[str] = set()
+        # (now, quantum_s) -> held vector, valid until the next mutation.
+        self._held_key: tuple[float, float] | None = None
+        self._held: np.ndarray | None = None
 
     # -- lifecycle ----------------------------------------------------------
     def start(self, job_id: str, nodes: frozenset[str], start_time: float,
@@ -68,6 +81,7 @@ class ClusterState:
             job_id, nodes, start_time, expected_end)
         for n in nodes:
             self._node_owner[n] = job_id
+        self._held_key = None
 
     def finish(self, job_id: str) -> frozenset[str]:
         """Release a job's nodes; returns the freed node set."""
@@ -76,6 +90,7 @@ class ClusterState:
             raise SchedulerError(f"job {job_id!r} is not running")
         for n in alloc.nodes:
             del self._node_owner[n]
+        self._held_key = None
         return alloc.nodes
 
     def extend_expectation(self, job_id: str, new_expected_end: float) -> None:
@@ -91,6 +106,7 @@ class ClusterState:
             raise SchedulerError(f"job {job_id!r} is not running")
         if new_expected_end > alloc.expected_end:
             alloc.expected_end = new_expected_end
+            self._held_key = None
 
     # -- node lifecycle ------------------------------------------------------
     def drain(self, node: str) -> None:
@@ -106,12 +122,14 @@ class ClusterState:
         if node not in self.universe:
             raise ClusterError(f"unknown node {node!r}")
         self._drained.add(node)
+        self._held_key = None
 
     def restore(self, node: str) -> None:
         """Return a drained node to service (cluster event: node add)."""
         if node not in self.universe:
             raise ClusterError(f"unknown node {node!r}")
         self._drained.discard(node)
+        self._held_key = None
 
     @property
     def drained_nodes(self) -> frozenset[str]:
@@ -152,27 +170,51 @@ class ClusterState:
                 out[n] = max(out.get(n, 0), quanta)
         return out
 
+    def node_indices(self, nodes: frozenset[str]) -> np.ndarray:
+        """Ascending :attr:`node_order` positions of ``nodes`` (name order)."""
+        idx = np.fromiter(map(self._node_index.__getitem__, nodes),
+                          dtype=np.int64, count=len(nodes))
+        idx.sort()
+        return idx
+
+    def held_quanta(self, now: float, quantum_s: float) -> np.ndarray:
+        """Per node (in :attr:`node_order` order): quanta from ``now`` it
+        offers no supply.
+
+        Running jobs hold their nodes for :meth:`busy_quanta`; a drained
+        node is held for :data:`HELD_FOREVER` whether or not a job still
+        runs on it.  One cycle asks for this many times (every
+        partition's supply row, the plan accumulator, the warm start), so
+        the read-only vector is kept until the ledger next changes.
+        """
+        key = (now, quantum_s)
+        if self._held_key != key:
+            held = np.zeros(len(self.node_order), dtype=np.int64)
+            index = self._node_index
+            for node, quanta in self.busy_quanta(now, quantum_s).items():
+                held[index[node]] = quanta
+            for node in self._drained:
+                held[index[node]] = HELD_FOREVER
+            held.flags.writeable = False
+            self._held, self._held_key = held, key
+        return self._held
+
     def availability_profile(self, nodes: frozenset[str], horizon_quanta: int,
                              now: float, quantum_s: float) -> list[int]:
         """``avail(x, t)`` for a node group: free count per future quantum.
 
         Returns a list of length ``horizon_quanta`` where entry ``t`` is the
         number of nodes from ``nodes`` expected to be free during time slice
-        ``[now + t*q, now + (t+1)*q)``.
+        ``[now + t*q, now + (t+1)*q)``.  A drained node offers no supply
+        anywhere in the horizon.
         """
         if horizon_quanta <= 0:
             return []
-        busy = self.busy_quanta(now, quantum_s)
-        profile = [len(nodes)] * horizon_quanta
-        for n in nodes:
-            # A drained node offers no supply anywhere in the horizon —
-            # whether or not a running job still holds it (never both
-            # subtractions, so the profile cannot go negative).
-            held = (horizon_quanta if n in self._drained
-                    else busy.get(n, 0))
-            for t in range(min(held, horizon_quanta)):
-                profile[t] -= 1
-        return profile
+        held = self.held_quanta(now, quantum_s)[self.node_indices(nodes)]
+        # Entry t counts the nodes released by then: held <= t.
+        released = np.bincount(np.minimum(held, horizon_quanta),
+                               minlength=horizon_quanta + 1)
+        return np.cumsum(released[:horizon_quanta]).tolist()
 
     def utilization(self) -> float:
         """Fraction of nodes currently held."""

@@ -23,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.cluster.partitions import Partitioning
-from repro.cluster.state import ClusterState
+from repro.cluster.state import HELD_FOREVER, ClusterState
 from repro.errors import SchedulerError
 
 
@@ -48,9 +50,14 @@ class Allocation:
 class PlanAccumulator:
     """Per-node occupancy (in quanta from "now") within one scheduling cycle.
 
-    Seeds busy intervals from the running jobs in ``state`` (using their
-    expected release times), then lets the caller :meth:`reserve` nodes for
-    planned placements as they are materialized.
+    Occupancy is one ``nodes x horizon`` boolean grid, rows in
+    :attr:`ClusterState.node_order` (sorted-name) order, so every query is a
+    row-gather plus one reduction and "the first ``k`` free nodes" is the
+    same deterministic sorted-name choice on every run.  The grid is seeded
+    from the state's held-quanta vector (running jobs up to their expected
+    release, drained nodes for the whole horizon) and grows on demand;
+    the caller :meth:`reserve`-s nodes for planned placements as they are
+    materialized.
     """
 
     def __init__(self, state: ClusterState, now: float,
@@ -58,9 +65,39 @@ class PlanAccumulator:
         self.universe = state.universe
         self.now = now
         self.quantum_s = quantum_s
-        self._busy: dict[str, set[int]] = {n: set() for n in state.universe}
-        for node, quanta in state.busy_quanta(now, quantum_s).items():
-            self._busy[node].update(range(quanta))
+        self._state = state
+        held = state.held_quanta(now, quantum_s)
+        #: Out-of-service rows: occupied in every column, present or grown.
+        self._drained = held == HELD_FOREVER
+        width = max(32, int(held[~self._drained].max(initial=0)))
+        self._occ = np.arange(width) < held[:, None]
+        self._rows: dict[frozenset[str], np.ndarray] = {}
+
+    def _rows_of(self, nodes: frozenset[str]) -> np.ndarray:
+        """Grid rows of a node group, ascending (= sorted by name)."""
+        rows = self._rows.get(nodes)
+        if rows is None:
+            rows = self._rows[nodes] = self._state.node_indices(nodes)
+        return rows
+
+    def _window(self, rows: np.ndarray, start: int,
+                duration: int) -> np.ndarray:
+        """Occupancy of ``rows`` over ``[start, start+duration)``."""
+        end = start + duration
+        have = self._occ.shape[1]
+        if end > have:
+            grown = np.zeros((self._occ.shape[0], max(end, 2 * have)),
+                             dtype=bool)
+            grown[:, :have] = self._occ
+            grown[self._drained, have:] = True
+            self._occ = grown
+        return self._occ[rows, start:end]
+
+    def _free_rows(self, nodes: frozenset[str], start: int,
+                   duration: int) -> np.ndarray:
+        """Rows of ``nodes`` free for the whole interval, ascending."""
+        rows = self._rows_of(nodes)
+        return rows[~self._window(rows, start, duration).any(axis=1)]
 
     # -- availability-provider interface (mirrors ClusterState) -------------
     def availability_profile(self, nodes: frozenset[str], horizon_quanta: int,
@@ -68,24 +105,21 @@ class PlanAccumulator:
         """Free-node count per quantum, accounting for tentative plans."""
         if horizon_quanta <= 0:
             return []
-        profile = [0] * horizon_quanta
-        for n in nodes:
-            busy = self._busy[n]
-            for t in range(horizon_quanta):
-                if t not in busy:
-                    profile[t] += 1
-        return profile
+        busy = self._window(self._rows_of(nodes), 0, horizon_quanta)
+        return (len(nodes) - busy.sum(axis=0)).tolist()
 
     # -- occupancy ------------------------------------------------------------
     def is_free(self, node: str, start: int, duration: int) -> bool:
         """Whether ``node`` is free for the whole ``[start, start+duration)``."""
-        busy = self._busy[node]
-        return all(t not in busy for t in range(start, start + duration))
+        row = self._state.node_indices(frozenset((node,)))
+        return not self._window(row, start, duration).any()
 
     def free_nodes_within(self, nodes: frozenset[str], start: int,
                           duration: int) -> list[str]:
         """Deterministically ordered nodes free for the whole interval."""
-        return [n for n in sorted(nodes) if self.is_free(n, start, duration)]
+        order = self._state.node_order
+        return [order[r]
+                for r in self._free_rows(nodes, start, duration).tolist()]
 
     def interval_free_count(self, nodes: frozenset[str], start: int,
                             duration: int) -> int:
@@ -94,18 +128,29 @@ class PlanAccumulator:
         Exposed to the STRL compiler so greedy-mode MILPs never plan counts
         that node-level fragmentation would make unassignable.
         """
-        return len(self.free_nodes_within(nodes, start, duration))
+        return int(self._free_rows(nodes, start, duration).shape[0])
+
+    def _flip(self, nodes: Iterable[str], start: int, duration: int,
+              occupied: bool, complaint: str) -> None:
+        """Set the interval of every node, refusing cells already there.
+
+        A drained node's cells belong to nobody: they can be neither
+        reserved (they are occupied) nor released.
+        """
+        rows = self._state.node_indices(frozenset(nodes))
+        window = self._window(rows, start, duration)
+        clash = np.argwhere((window == occupied)
+                            | self._drained[rows, np.newaxis])
+        if clash.size:
+            r, t = clash[0]
+            raise SchedulerError(
+                f"node {self._state.node_order[rows[r]]!r} {complaint} "
+                f"quantum {start + int(t)}")
+        self._occ[rows, start:start + duration] = occupied
 
     def reserve(self, nodes: Iterable[str], start: int, duration: int) -> None:
         """Mark nodes busy for the interval (planned placement)."""
-        span = range(start, start + duration)
-        for n in nodes:
-            busy = self._busy[n]
-            for t in span:
-                if t in busy:
-                    raise SchedulerError(
-                        f"node {n!r} double-reserved at quantum {t}")
-                busy.add(t)
+        self._flip(nodes, start, duration, True, "double-reserved at")
 
     def unreserve(self, nodes: Iterable[str], start: int,
                   duration: int) -> None:
@@ -117,14 +162,7 @@ class PlanAccumulator:
         leak and every subsequent job in the cycle would see
         phantom-occupied capacity.
         """
-        span = range(start, start + duration)
-        for n in nodes:
-            busy = self._busy[n]
-            for t in span:
-                if t not in busy:
-                    raise SchedulerError(
-                        f"node {n!r} was not reserved at quantum {t}")
-                busy.remove(t)
+        self._flip(nodes, start, duration, False, "was not reserved at")
 
     def pick(self, partitioning: Partitioning, node_counts: dict[int, int],
              start: int, duration: int) -> frozenset[str]:
@@ -135,14 +173,18 @@ class PlanAccumulator:
         mean the supply constraints and this accumulator disagree, i.e. a
         compiler bug.
         """
-        chosen: list[str] = []
+        chosen: list[np.ndarray] = []
         for pid, count in sorted(node_counts.items()):
-            part = partitioning.partitions[pid]
-            free = self.free_nodes_within(part.nodes, start, duration)
+            free = self._free_rows(partitioning.partitions[pid].nodes,
+                                   start, duration)
             if len(free) < count:
                 raise SchedulerError(
                     f"partition {pid} has {len(free)} free nodes for "
                     f"[{start},{start + duration}), need {count}")
-            chosen.extend(free[:count])
-        self.reserve(chosen, start, duration)
-        return frozenset(chosen)
+            chosen.append(free[:count])
+        if not chosen:
+            return frozenset()
+        picked = np.concatenate(chosen)
+        self._occ[picked, start:start + duration] = True
+        order = self._state.node_order
+        return frozenset(order[r] for r in picked.tolist())

@@ -18,58 +18,73 @@ The compiler walks the aggregated STRL expression with a single recursive
 Compilation is independent of any solver backend; the result carries enough
 bookkeeping to map a MILP solution back to per-job space-time allocations.
 
-Since the delta-compilation refactor the unit of compilation is one job: a
-:class:`JobFragment` holds a job's variables, constraints, objective terms
-and used-ledger entries in a *local* (fragment-relative) column space, plus
-its CSR export.  :func:`assemble_batch` relocates fragments to their column
-offsets, rebuilds the cross-job supply rows, and concatenates the cached
-CSR blocks into the cycle model's sparse export — so a fragment compiled in
-an earlier cycle can be reused verbatim by
+The unit of compilation is one job, and the output is flat arrays, never
+objects.  ``gen`` appends every column (bound, domain), row (entries,
+sense), objective term and leaf-table entry it generates straight onto the
+list buffers of a :class:`JobFragment`, in a *local* (fragment-relative)
+column space; nothing builds a ``LinExpr``, a ``Variable`` or a
+``Constraint``.  :func:`assemble_batch` concatenates the fragments at their
+column offsets, derives the cross-job supply rows by one grouped sort over
+the leaf table (which doubles as the ``used(x, t)`` ledger) and wraps the
+resulting CSR export in an array-backed :class:`~repro.solver.model.Model`.
+A fragment compiled in an earlier cycle can therefore be reused verbatim by
 :class:`repro.core.delta.DeltaCompiler` as long as its STRL expression and
-the cycle partitioning are unchanged.  Variable names are job-scoped
-(``nCk[job-3]#2``) so fragments never collide and names are stable across
-cycles regardless of batch composition.
+the cycle partitioning are unchanged.
+
+The export is pinned bit for bit — column order, within-row coefficient
+order, bounds, right-hand sides, signed zeros — by
+``tests/core/test_golden_export.py`` against digests recorded from the
+object-building compiler this one replaced.  Names (``nCk[job-3]#2``) are
+job-scoped, stable across cycles, and only generated when somebody reads
+``model.variables`` / ``model.constraints``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from repro.cluster.partitions import Partition, Partitioning
+from repro.cluster.partitions import Partitioning
 from repro.cluster.state import ClusterState
 from repro.errors import SchedulerError
-from repro.solver.expr import LinExpr, Variable, linear_sum
-from repro.solver.model import (LE, Constraint, Model, SparseArrays,
-                                SparseMatrix, _rows_to_csr)
+from repro.solver.model import (ArrayLayout, Model, SparseArrays,
+                                SparseMatrix)
 from repro.strl.ast import (Barrier, ElasticNCk, LnCk, Max, Min, NCk, Scale,
                             StrlNode, Sum)
+
+#: Column domain codes (indices into ``repro.solver.model.DOMAIN_BY_CODE``).
+_CONTINUOUS, _INTEGER, _BINARY = 0, 1, 2
+
+#: Row kinds of a fragment, for constraint names.
+_ROW_TAGS = ("demand[nCk[{job}]#{n}]", "demand[LnCk[{job}]#{n}]",
+             "choice[{job}]#{n}", "min[{job}]#{n}", "barrier[{job}]#{n}")
+_DEMAND_NCK, _DEMAND_LNCK, _CHOICE, _MIN, _BARRIER = range(5)
 
 
 @dataclass
 class LeafRecord:
-    """Bookkeeping for one compiled leaf primitive.
+    """One row of the leaf table as an object (the audit/test view).
 
-    Maps the leaf's decision variables back to scheduling semantics so a
-    MILP solution can be decoded into allocations.
+    Maps the leaf's decision columns back to scheduling semantics.  The
+    cycle itself decodes from :class:`CompiledBatch`'s leaf arrays; these
+    records are built from them on first access to
+    :attr:`CompiledBatch.leaf_records`.
     """
 
     job_id: str
     leaf: NCk | LnCk
-    indicator: Variable
-    partition_vars: dict[int, Variable]  # pid -> P_x
+    indicator: int                  # model column of I
+    partition_cols: dict[int, int]  # pid -> model column of P_x
 
-    def chosen_counts(self, x: np.ndarray, tol: float = 1e-6) -> dict[int, int]:
+    def chosen_counts(self, x: np.ndarray) -> dict[int, int]:
         """Per-partition node counts selected by the solution (empty if none)."""
-        counts = {}
-        for pid, var in self.partition_vars.items():
-            v = int(round(float(x[var.index])))
-            if v > 0:
-                counts[pid] = v
-        if isinstance(self.leaf, NCk) and x[self.indicator.index] < 0.5:
+        if isinstance(self.leaf, NCk) and x[self.indicator] < 0.5:
             return {}
-        return counts
+        counts = {pid: int(round(float(x[col])))
+                  for pid, col in self.partition_cols.items()}
+        return {pid: v for pid, v in counts.items() if v > 0}
 
 
 @dataclass(frozen=True)
@@ -150,39 +165,79 @@ class PreemptionCandidate:
 
 @dataclass
 class CompiledBatch:
-    """A compiled scheduling-cycle MILP plus decode metadata."""
+    """A compiled scheduling-cycle MILP plus decode metadata.
+
+    The decode metadata is a flat *leaf table*: leaf ``i`` of the batch is
+    ``leaves[i]``, belongs to job ``job_order[leaf_job[i]]``, is switched
+    by column ``leaf_indicator[i]`` and owns the partition-variable entries
+    ``leaf_ptr[i]:leaf_ptr[i+1]`` of ``leaf_pcol`` (model column) and
+    ``leaf_pid`` (partition id), in ascending partition order.
+    """
 
     model: Model
     partitioning: Partitioning
     horizon: int
-    job_indicators: dict[str, Variable]
-    leaf_records: list[LeafRecord]
     job_order: list[str]
+    #: Top-level indicator column of every job in the batch.
+    job_columns: dict[str, int]
+    leaves: list[NCk | LnCk]
+    leaf_job: np.ndarray
+    leaf_indicator: np.ndarray
+    leaf_is_nck: np.ndarray
+    leaf_ptr: np.ndarray
+    leaf_pcol: np.ndarray
+    leaf_pid: np.ndarray
+    #: ``avail(x, t)`` of every partition some leaf draws on: pid -> the
+    #: free-node count per quantum the supply rows were written against.
+    availability: dict[int, np.ndarray] = field(default_factory=dict)
     stats: dict[str, int] = field(default_factory=dict)
-    preemption_vars: dict[str, Variable] = field(default_factory=dict)
+    #: Kill-decision column per preemption candidate.
+    preemption_columns: dict[str, int] = field(default_factory=dict)
     #: Elastic extension: running jobs whose width the solver may re-plan.
     resize_candidates: dict[str, ResizeCandidate] = field(default_factory=dict)
+    _records: list[LeafRecord] | None = None
+
+    def job_of(self, leaf: int) -> str:
+        """Job id owning row ``leaf`` of the leaf table."""
+        return self.job_order[self.leaf_job[leaf]]
+
+    @property
+    def leaf_records(self) -> list[LeafRecord]:
+        """The leaf table as :class:`LeafRecord` objects (built once)."""
+        if self._records is None:
+            ptr, pcol, pid = (self.leaf_ptr.tolist(), self.leaf_pcol.tolist(),
+                              self.leaf_pid.tolist())
+            self._records = [
+                LeafRecord(self.job_order[job], leaf, ind,
+                           dict(zip(pid[ptr[i]:ptr[i + 1]],
+                                    pcol[ptr[i]:ptr[i + 1]])))
+                for i, (leaf, job, ind) in enumerate(zip(
+                    self.leaves, self.leaf_job.tolist(),
+                    self.leaf_indicator.tolist()))]
+        return self._records
 
     @property
     def column_meta(self) -> list[ColumnMeta]:
         """Per-start-time column metadata (see :class:`ColumnMeta`).
 
-        Built lazily from the leaf records, grouping by indicator variable
-        so gang leaves sharing one indicator land in one record.
+        Groups the leaf table by indicator column, so gang leaves sharing
+        one indicator land in one record.
         """
-        by_indicator: dict[int, list[LeafRecord]] = {}
-        for rec in self.leaf_records:
-            by_indicator.setdefault(rec.indicator.index, []).append(rec)
+        ptr, pcol = self.leaf_ptr.tolist(), self.leaf_pcol.tolist()
+        by_indicator: dict[int, list[int]] = {}
+        for i, ind in enumerate(self.leaf_indicator.tolist()):
+            by_indicator.setdefault(ind, []).append(i)
         meta: list[ColumnMeta] = []
-        for ind_index, recs in sorted(by_indicator.items()):
-            cols = {ind_index}
-            for rec in recs:
-                cols.update(v.index for v in rec.partition_vars.values())
+        for ind, members in sorted(by_indicator.items()):
+            cols = {ind}
+            for i in members:
+                cols.update(pcol[ptr[i]:ptr[i + 1]])
+            group = [self.leaves[i] for i in members]
             meta.append(ColumnMeta(
-                job_id=recs[0].job_id,
-                start=min(rec.leaf.start for rec in recs),
-                duration=max(rec.leaf.duration for rec in recs),
-                value=max(rec.leaf.value for rec in recs),
+                job_id=self.job_of(members[0]),
+                start=min(leaf.start for leaf in group),
+                duration=max(leaf.duration for leaf in group),
+                value=max(leaf.value for leaf in group),
                 columns=tuple(sorted(cols))))
         return meta
 
@@ -201,8 +256,8 @@ class CompiledBatch:
 
     def preempted_jobs(self, x: np.ndarray) -> list[str]:
         """Preemption candidates the solution chose to kill."""
-        return [job_id for job_id, var in self.preemption_vars.items()
-                if x[var.index] > 0.5]
+        return [job_id for job_id, col in self.preemption_columns.items()
+                if x[col] > 0.5]
 
     def resize_decisions(self, x: np.ndarray) -> dict[str, int]:
         """Chosen width per resize candidate whose fragment was activated.
@@ -223,23 +278,47 @@ class CompiledBatch:
         return {job_id: w for job_id, w in widths.items()
                 if job_id in active and w > 0}
 
+    def active_leaves(self, x: np.ndarray) -> list[tuple[int, dict[int, int]]]:
+        """``(leaf index, {pid: node count})`` of every leaf the solution uses.
+
+        One gather over the partition-variable columns: an entry counts
+        when it rounds to a positive node count and — for an ``nCk`` leaf —
+        the leaf's indicator is on.  Leaves come out in table order, counts
+        in ascending partition order.
+        """
+        x = np.asarray(x, dtype=float)
+        counts = np.rint(x[self.leaf_pcol]).astype(np.int64)
+        live = ~self.leaf_is_nck | (x[self.leaf_indicator] >= 0.5)
+        entry_leaf = np.repeat(np.arange(len(self.leaves)),
+                               np.diff(self.leaf_ptr))
+        used = np.flatnonzero((counts > 0) & live[entry_leaf])
+        chosen: dict[int, dict[int, int]] = {}
+        for leaf, pid, count in zip(entry_leaf[used].tolist(),
+                                    self.leaf_pid[used].tolist(),
+                                    counts[used].tolist()):
+            chosen.setdefault(leaf, {})[pid] = count
+        return list(chosen.items())
+
     def decode(self, x: np.ndarray) -> list[PlannedPlacement]:
         """Decode a MILP solution into the set of active placements."""
-        placements: list[PlannedPlacement] = []
-        for rec in self.leaf_records:
-            counts = rec.chosen_counts(x)
-            if not counts:
-                continue
+        placements = []
+        for i, counts in self.active_leaves(x):
+            leaf = self.leaves[i]
             placements.append(PlannedPlacement(
-                job_id=rec.job_id, start=rec.leaf.start,
-                duration=rec.leaf.duration, node_counts=counts,
-                value=rec.leaf.value))
+                job_id=self.job_of(i), start=leaf.start,
+                duration=leaf.duration, node_counts=counts,
+                value=leaf.value))
         return placements
+
+    def chosen_plan(self, x: np.ndarray) -> list[tuple[str, NCk | LnCk]]:
+        """``(job id, leaf)`` of every active leaf: next cycle's warm start."""
+        return [(self.job_of(i), self.leaves[i])
+                for i, _ in self.active_leaves(x)]
 
     def scheduled_jobs(self, x: np.ndarray) -> set[str]:
         """Jobs whose top-level indicator is on in the solution."""
-        return {job_id for job_id, ind in self.job_indicators.items()
-                if x[ind.index] > 0.5}
+        return {job_id for job_id, col in self.job_columns.items()
+                if x[col] > 0.5}
 
     def jobs_by_component(self, decomp) -> list[list[str]]:
         """Job ids whose indicator landed in each decomposition block.
@@ -249,8 +328,7 @@ class CompiledBatch:
         ``(partition, time-slice)`` supply constraint — they contend for
         disjoint capacity, which is why they solve independently.
         """
-        owner = {var.index: job_id
-                 for job_id, var in self.job_indicators.items()}
+        owner = {col: job_id for job_id, col in self.job_columns.items()}
         return [[owner[int(gi)] for gi in comp.global_indices
                  if int(gi) in owner]
                 for comp in decomp.components]
@@ -260,145 +338,264 @@ class CompiledBatch:
 class JobFragment:
     """One job's compiled STRL slice, relocatable within a cycle model.
 
-    Everything is expressed in a *local* column space (variable indices
-    0..n-1, index 0 always the job's top-level indicator) so the fragment
-    can be placed at any column offset of the assembled cycle model.  The
-    fragment is valid as long as its ``expr`` and the cycle
+    Flat buffers in a *local* column space (columns 0..n-1, column 0 always
+    the job's top-level indicator), written once by Algorithm 1's walk and
+    only ever concatenated afterwards, so the fragment can be placed at any
+    column offset of the assembled cycle model.  The fragment is valid as
+    long as its ``expr`` and the cycle
     :class:`~repro.cluster.partitions.Partitioning` are unchanged: nothing
     in it depends on cluster *availability* (supply right-hand sides are
     rebuilt per cycle by :func:`assemble_batch`), only on partition
     membership and capacity.
+
+    Every column has lower bound 0; every row has right-hand side 0 and is
+    either ``<=`` or ``==``.
     """
 
     job_id: str
     expr: StrlNode
-    horizon: int
-    #: Local-index variables; ``variables[0]`` is ``I[job_id]``.
-    variables: list[Variable]
-    #: Normalized constraints with local-index coefficients.
-    constraints: list[Constraint]
-    #: Objective contribution, local index -> coefficient (maximize sense).
-    objective_coeffs: dict[int, float]
-    objective_constant: float
-    #: Per leaf: (leaf, indicator local index, {pid -> partition-var local}).
-    leaf_specs: list[tuple[NCk | LnCk, int, dict[int, int]]]
-    #: Used ledger: (pid, t) -> local partition-var indices, registration
-    #: order preserved (supply-row coefficient order depends on it).
-    used: dict[tuple[int, int], tuple[int, ...]]
-    #: Local CSR export (minimization orientation, GE rows pre-negated).
-    sparse: SparseArrays
-    #: SHA-256 of the local export (cross-cycle diff accounting).
-    fingerprint: str = ""
-
-    # Materialization cache: model-ready objects built at a column offset.
-    # Reused verbatim when the fragment lands at the same offset next cycle
-    # (Variable/Constraint are immutable, so sharing across models is safe).
-    _mat_offset: int = -1
-    _mat_vars: list[Variable] | None = None
-    _mat_cons: list[Constraint] | None = None
-    _mat_records: list[LeafRecord] | None = None
+    #: Per column: upper bound (``inf`` = none), domain code, and the
+    #: ``#n`` of its name (0 for the root indicator).
+    col_ub: list[float] = field(default_factory=list)
+    col_domain: list[int] = field(default_factory=list)
+    col_counter: list[int] = field(default_factory=list)
+    #: Rows in emission (= model constraint) order: length, equality flag,
+    #: name kind and ``#n``; ``row_cols`` / ``row_coefs`` hold the rows'
+    #: entries back to back, in within-row coefficient order.
+    row_len: list[int] = field(default_factory=list)
+    row_is_eq: list[bool] = field(default_factory=list)
+    row_kind: list[int] = field(default_factory=list)
+    row_counter: list[int] = field(default_factory=list)
+    row_cols: list[int] = field(default_factory=list)
+    row_coefs: list[float] = field(default_factory=list)
+    #: Objective contribution, local column -> coefficient (maximize sense).
+    objective: dict[int, float] = field(default_factory=dict)
+    #: Leaf table.  ``leaf_pcol`` / ``leaf_pid`` hold each leaf's
+    #: ``leaf_parts[i]`` partition variables back to back; together with
+    #: ``leaf_start`` / ``leaf_duration`` they *are* the used ledger:
+    #: entry ``e`` draws on partition ``leaf_pid[e]`` through column
+    #: ``leaf_pcol[e]`` for every quantum of its leaf's interval.
+    leaves: list[NCk | LnCk] = field(default_factory=list)
+    leaf_indicator: list[int] = field(default_factory=list)
+    leaf_is_nck: list[bool] = field(default_factory=list)
+    leaf_start: list[int] = field(default_factory=list)
+    leaf_duration: list[int] = field(default_factory=list)
+    leaf_parts: list[int] = field(default_factory=list)
+    leaf_pcol: list[int] = field(default_factory=list)
+    leaf_pid: list[int] = field(default_factory=list)
+    _fingerprint: str | None = None
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self.col_ub)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.row_len)
 
-    def materialize(self, offset: int) -> tuple[
-            list[Variable], list[Constraint], list[LeafRecord]]:
-        """(variables, constraints, leaf records) at global ``offset``."""
-        if self._mat_offset != offset:
-            if offset == 0:
-                variables, constraints = self.variables, self.constraints
-            else:
-                variables = [
-                    Variable(v.name, v.index + offset, v.lb, v.ub, v.domain)
-                    for v in self.variables]
-                constraints = [
-                    Constraint(c.name,
-                               LinExpr({i + offset: coef
-                                        for i, coef in c.expr.coeffs.items()}),
-                               c.sense, c.rhs)
-                    for c in self.constraints]
-            self._mat_vars = variables
-            self._mat_cons = constraints
-            self._mat_records = [
-                LeafRecord(self.job_id, leaf, variables[ind],
-                           {pid: variables[li] for pid, li in pmap.items()})
-                for leaf, ind, pmap in self.leaf_specs]
-            self._mat_offset = offset
-        assert (self._mat_vars is not None and self._mat_cons is not None
-                and self._mat_records is not None)
-        return self._mat_vars, self._mat_cons, self._mat_records
+    @property
+    def horizon(self) -> int:
+        """Last time quantum touched by any leaf (exclusive end)."""
+        return max((start + duration for start, duration
+                    in zip(self.leaf_start, self.leaf_duration)), default=0)
 
+    @property
+    def fingerprint(self) -> str:
+        """SHA-256 of the fragment's own CSR export (computed on demand)."""
+        if self._fingerprint is None:
+            from repro.solver.parallel import fingerprint_arrays
+            self._fingerprint = fingerprint_arrays(
+                _Packed([self]).export()).exact
+        return self._fingerprint
 
-def _stack_csr(blocks: list[tuple[SparseMatrix, int]],
-               ncols: int) -> SparseMatrix:
-    """Vertically stack CSR blocks, shifting each block's columns by its
-    offset.  ``O(total nonzeros)`` in numpy — no per-row Python work."""
-    rows = sum(int(m.shape[0]) for m, _ in blocks)
-    counts = [np.diff(m.indptr) for m, _ in blocks]
-    all_counts = np.concatenate(counts)
-    indptr = np.zeros(rows + 1, dtype=np.int64)
-    if all_counts.size:
-        np.cumsum(all_counts, out=indptr[1:])
-    indices = np.concatenate(
-        [(m.indices + off) if off else m.indices for m, off in blocks])
-    data = np.concatenate([m.data for m, _ in blocks])
-    return SparseMatrix((rows, ncols), indptr,
-                        indices.astype(np.int64, copy=False), data)
+    def column_names(self) -> list[str]:
+        """Job-scoped (``nCk[job-3]#2``), so fragments never collide and
+        names are stable across cycles regardless of batch composition."""
+        job = self.job_id
+        names = [f"I[{job}]#{n}" if dom == _BINARY else f"V[{job}]#{n}"
+                 for dom, n in zip(self.col_domain, self.col_counter)]
+        names[0] = f"I[{job}]"
+        entry = 0
+        for is_nck, parts in zip(self.leaf_is_nck, self.leaf_parts):
+            kind = "nCk" if is_nck else "LnCk"
+            for e in range(entry, entry + parts):
+                col = self.leaf_pcol[e]
+                names[col] = (f"P[{kind}[{job}]#{self.col_counter[col]},"
+                              f"p{self.leaf_pid[e]}]")
+            entry += parts
+        return names
+
+    def row_names(self) -> list[str]:
+        return [_ROW_TAGS[kind].format(job=self.job_id, n=n)
+                for kind, n in zip(self.row_kind, self.row_counter)]
 
 
-def _assemble_sparse(fragments: list[JobFragment],
-                     preemptible: list["PreemptionCandidate"],
-                     supply_rows: list[tuple[dict, float]],
-                     obj_constant: float, n: int) -> SparseArrays:
-    """Concatenate fragment CSR blocks + supply rows into the cycle export.
+def _concat(fragments: list[JobFragment], attr: str, dtype) -> np.ndarray:
+    """One array out of the same list buffer of every fragment."""
+    return np.fromiter(
+        chain.from_iterable(getattr(f, attr) for f in fragments), dtype)
 
-    Produces arrays bit-equal to ``Model.to_sparse_arrays()`` on the
-    assembled model: fragment blocks come from each scratch model's own
-    canonical export (same within-row coefficient order), the supply block
-    goes through the same ``_rows_to_csr`` packer, and row/column order
-    matches the assembled model's constraint/variable order by
-    construction.  ``delta_mode=verify`` recomputes the canonical export
-    and asserts exactly this equality every cycle.
+
+def _csr(lengths: np.ndarray, cols: np.ndarray, coefs: np.ndarray,
+         ncols: int) -> SparseMatrix:
+    indptr = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return SparseMatrix((lengths.shape[0], ncols), indptr, cols, coefs)
+
+
+class _Packed:
+    """Fragment buffers concatenated at their column offsets.
+
+    Fragment ``k`` occupies columns ``offsets[k]:offsets[k+1]``; rows keep
+    fragment order and, within a fragment, emission order — which is the
+    assembled model's constraint order, so splitting them by ``row_is_eq``
+    yields the export's ``a_ub`` / ``a_eq`` blocks directly.
     """
-    c_parts = [frag.sparse.c for frag in fragments]
-    lb_parts = [frag.sparse.lb for frag in fragments]
-    ub_parts = [frag.sparse.ub for frag in fragments]
-    int_parts = [frag.sparse.integrality for frag in fragments]
-    if preemptible:
-        n_r = len(preemptible)
-        # Maximize-sense objective coefficient -penalty => c = +penalty.
-        c_parts.append(np.array([float(cand.penalty) for cand in preemptible]))
-        lb_parts.append(np.zeros(n_r))
-        ub_parts.append(np.ones(n_r))
-        int_parts.append(np.ones(n_r, dtype=bool))
-    supply_m, supply_b = _rows_to_csr(supply_rows, n,
-                                      [1.0] * len(supply_rows))
-    ub_blocks: list[tuple[SparseMatrix, int]] = []
-    eq_blocks: list[tuple[SparseMatrix, int]] = []
-    b_ub_parts: list[np.ndarray] = []
-    b_eq_parts: list[np.ndarray] = []
-    off = 0
-    for frag in fragments:
-        ub_blocks.append((frag.sparse.a_ub, off))
-        eq_blocks.append((frag.sparse.a_eq, off))
-        b_ub_parts.append(frag.sparse.b_ub)
-        b_eq_parts.append(frag.sparse.b_eq)
-        off += frag.num_variables
-    ub_blocks.append((supply_m, 0))
-    b_ub_parts.append(supply_b)
-    return SparseArrays(
-        c=np.concatenate(c_parts),
-        obj_constant=obj_constant, obj_sign=-1.0,
-        a_ub=_stack_csr(ub_blocks, n), b_ub=np.concatenate(b_ub_parts),
-        a_eq=_stack_csr(eq_blocks, n),
-        b_eq=(np.concatenate(b_eq_parts) if b_eq_parts else np.zeros(0)),
-        lb=np.concatenate(lb_parts), ub=np.concatenate(ub_parts),
-        integrality=np.concatenate(int_parts))
+
+    def __init__(self, fragments: list[JobFragment]) -> None:
+        self.fragments = fragments
+        self.offsets = np.zeros(len(fragments) + 1, dtype=np.int64)
+        np.cumsum([f.num_variables for f in fragments], out=self.offsets[1:])
+        self.ncols = int(self.offsets[-1])
+        self.col_ub = _concat(fragments, "col_ub", float)
+        self.col_domain = _concat(fragments, "col_domain", np.int8)
+        self.row_len = _concat(fragments, "row_len", np.int64)
+        self.row_is_eq = _concat(fragments, "row_is_eq", bool)
+        self.row_cols = self.shifted("row_cols")
+        self.row_coefs = _concat(fragments, "row_coefs", float)
+        objective = np.zeros(self.ncols)
+        objective[self.shifted("objective")] = np.fromiter(
+            chain.from_iterable(f.objective.values() for f in fragments),
+            float)
+        self.objective = objective
+        self.leaf_parts = _concat(fragments, "leaf_parts", np.int64)
+        self.leaf_pcol = self.shifted("leaf_pcol")
+        self.leaf_pid = _concat(fragments, "leaf_pid", np.int64)
+
+    def shifted(self, attr: str) -> np.ndarray:
+        """A local-column buffer of every fragment, in cycle columns."""
+        sizes = [len(getattr(f, attr)) for f in self.fragments]
+        return (_concat(self.fragments, attr, np.int64)
+                + np.repeat(self.offsets[:-1], sizes))
+
+    def export(self, extra_ub: tuple[np.ndarray, ...] | None = None,
+               extra_objective: np.ndarray | None = None) -> SparseArrays:
+        """The CSR export: fragment rows, then ``extra_ub`` rows
+        ``(lengths, cols, coefs, rhs)``; fragment columns, then one binary
+        per (maximize-sense) ``extra_objective`` coefficient."""
+        if extra_objective is None:
+            extra_objective = np.zeros(0)
+        extra_cols = extra_objective.shape[0]
+        n = self.ncols + extra_cols
+        entry_eq = np.repeat(self.row_is_eq, self.row_len)
+        ub_len = self.row_len[~self.row_is_eq]
+        ub_cols, ub_coefs = self.row_cols[~entry_eq], self.row_coefs[~entry_eq]
+        # Fragment rows read ``... <= 0`` / ``... == 0`` with the constant
+        # moved across, i.e. a right-hand side of -(0.0).
+        b_ub = np.full(ub_len.shape[0], -0.0)
+        if extra_ub is not None:
+            lengths, cols, coefs, rhs = extra_ub
+            ub_len = np.concatenate([ub_len, lengths])
+            ub_cols = np.concatenate([ub_cols, cols])
+            ub_coefs = np.concatenate([ub_coefs, coefs])
+            b_ub = np.concatenate([b_ub, rhs])
+        eq_len = self.row_len[self.row_is_eq]
+        return SparseArrays(
+            c=-np.concatenate([self.objective, extra_objective]),
+            obj_constant=0.0, obj_sign=-1.0,
+            a_ub=_csr(ub_len, ub_cols, ub_coefs, n), b_ub=b_ub,
+            a_eq=_csr(eq_len, self.row_cols[entry_eq],
+                      self.row_coefs[entry_eq], n),
+            b_eq=np.full(eq_len.shape[0], -0.0),
+            lb=np.zeros(n),
+            ub=np.concatenate([self.col_ub, np.ones(extra_cols)]),
+            integrality=np.concatenate([self.col_domain != _CONTINUOUS,
+                                        np.ones(extra_cols, dtype=bool)]))
+
+
+def _freed_entries(candidates: list[tuple[frozenset[str], int]],
+                   partitioning: Partitioning, state, horizon: int,
+                   quantum_s: float, now: float
+                   ) -> tuple[list[int], list[int], list[float]]:
+    """Supply credits of kill / re-plan decisions, as ledger entries.
+
+    ``candidates`` pairs the nodes a running job holds with the column
+    whose activation releases them.  A released node returns to
+    ``(partition, t)`` supply for every quantum the job would otherwise
+    still hold it — unless it is drained: drained nodes never return to
+    supply.  Returns parallel ``(pid * horizon + t, column, -freed)`` lists.
+    """
+    busy = state.busy_quanta(now, quantum_s)
+    drained = getattr(state, "drained_nodes", frozenset())
+    pid_of = {n: part.pid for part in partitioning.partitions
+              for n in part.nodes}
+    keys: list[int] = []
+    cols: list[int] = []
+    coefs: list[float] = []
+    for nodes, col in candidates:
+        held: dict[int, list[int]] = {}
+        for n in nodes:
+            if n not in drained:
+                held.setdefault(pid_of[n], []).append(busy.get(n, 0))
+        for pid, quanta in held.items():
+            for t in range(min(max(quanta), horizon)):
+                keys.append(pid * horizon + t)
+                cols.append(col)
+                coefs.append(-float(sum(1 for q in quanta if q > t)))
+    return keys, cols, coefs
+
+
+def _supply_rows(packed: _Packed, partitioning: Partitioning, horizon: int,
+                 state, quantum_s: float, now: float,
+                 candidates: list[tuple[frozenset[str], int]]
+                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray,
+                            dict[int, np.ndarray]]:
+    """``sum of P in used(x, t) <= avail(x, t)`` for every used ``(x, t)``.
+
+    The used ledger is the leaf table: each (leaf, partition) entry is
+    expanded over the leaf's interval and the expansion is stably sorted
+    by ``(partition, t)``.  Rows therefore come out in ascending
+    ``(pid, t)`` order with coefficients in registration order (job order,
+    then leaf order, then partition order), followed by the supply
+    credits of ``candidates`` in candidate order.  Returns the rows as
+    ``(lengths, cols, coefs, rhs)``, their ``pid * horizon + t`` keys, and
+    the availability profile of every partition that got a row.
+    """
+    frags, parts = packed.fragments, packed.leaf_parts
+    entry_start = np.repeat(_concat(frags, "leaf_start", np.int64), parts)
+    entry_dur = np.repeat(_concat(frags, "leaf_duration", np.int64), parts)
+    # Expand entry e into its quanta start[e] .. start[e] + dur[e] - 1.
+    source = np.repeat(np.arange(entry_dur.shape[0]), entry_dur)
+    first = np.cumsum(entry_dur) - entry_dur
+    t = np.arange(source.shape[0]) - first[source] + entry_start[source]
+    keys = packed.leaf_pid[source] * horizon + t
+    cols = packed.leaf_pcol[source]
+    coefs = np.ones(cols.shape[0])
+    if candidates:
+        f_keys, f_cols, f_coefs = _freed_entries(
+            candidates, partitioning, state, horizon, quantum_s, now)
+        f_keys = np.asarray(f_keys, dtype=np.int64)
+        wanted = np.isin(f_keys, keys)  # credits only where someone draws
+        keys = np.concatenate([keys, f_keys[wanted]])
+        cols = np.concatenate(
+            [cols, np.asarray(f_cols, dtype=np.int64)[wanted]])
+        coefs = np.concatenate([coefs, np.asarray(f_coefs)[wanted]])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    row_keys = keys[starts]
+    lengths = np.diff(starts, append=keys.shape[0])
+
+    row_pid, row_t = np.divmod(row_keys, horizon)
+    availability = {
+        pid: np.asarray(state.availability_profile(
+            partitioning.partitions[pid].nodes, horizon, now, quantum_s))
+        for pid in np.unique(row_pid).tolist()}
+    rhs = np.zeros(row_keys.shape[0])
+    for pid, profile in availability.items():
+        mine = row_pid == pid
+        rhs[mine] = profile[row_t[mine]]
+    return (lengths, cols[order], coefs[order], rhs), row_keys, availability
 
 
 def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
@@ -415,125 +612,133 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
     way they can diverge is a stale cached fragment, which is exactly what
     ``delta_mode=verify`` checks for.
 
-    Per-cycle work is the part that depends on cluster availability: the
-    supply rows (``sum of P in used(x,t) <= avail(x,t)`` plus nodes freed
-    by chosen preemptions or width re-plans) and the preemption decision
-    variables.  ``resizable`` entries add no variables: each candidate's
-    fragment root indicator doubles as the release decision, freeing the
-    job's currently-held nodes in every supply row they appear in.
+    Assembly is concatenation: fragment buffers land at their column
+    offsets (:class:`_Packed`), and the part that depends on cluster
+    availability is appended — the supply rows (:func:`_supply_rows`) and
+    one binary kill-decision column per ``preemptible`` candidate.
+    ``resizable`` entries add no columns: each candidate's fragment root
+    indicator doubles as the release decision, freeing the job's
+    currently-held nodes in every supply row they appear in.
     """
     preemptible = preemptible or []
     resizable = resizable or []
-    model = Model("tetrisched-cycle")
-    job_indicators: dict[str, Variable] = {}
-    records: list[LeafRecord] = []
-    used: dict[tuple[int, int], list[int]] = {}
-    obj_coeffs: dict[int, float] = {}
-    obj_constant = 0.0
-    offset = 0
-    frag_records: dict[str, list[LeafRecord]] = {}
-    for frag in fragments:
-        variables, constraints, recs = frag.materialize(offset)
-        model.adopt_variables(variables)
-        model.adopt_constraints(constraints)
-        job_indicators[frag.job_id] = variables[0]
-        frag_records[frag.job_id] = recs
-        records.extend(recs)
-        for idx, coef in frag.objective_coeffs.items():
-            obj_coeffs[idx + offset] = coef
-        obj_constant += frag.objective_constant
-        for key, local_indices in frag.used.items():
-            used.setdefault(key, []).extend(i + offset
-                                            for i in local_indices)
-        offset += frag.num_variables
-
-    # Preemption extension: binary kill-decision per candidate.
-    preemption_vars: dict[str, Variable] = {}
-    victim_busy: dict[str, dict[str, int]] = {}
-    if preemptible or resizable:
-        busy = state.busy_quanta(now, quantum_s)
-        for cand in preemptible:
-            r = model.add_binary(f"R[{cand.job_id}]")
-            preemption_vars[cand.job_id] = r
-            victim_busy[cand.job_id] = {n: busy.get(n, 0) for n in cand.nodes}
-            obj_coeffs[r.index] = obj_coeffs.get(r.index, 0.0) - cand.penalty
+    packed = _Packed(fragments)
+    offsets = packed.offsets.tolist()
+    job_columns = {frag.job_id: off for frag, off in zip(fragments, offsets)}
+    preemption_columns = {cand.job_id: packed.ncols + i
+                          for i, cand in enumerate(preemptible)}
+    #: (held nodes, releasing column): kills first, then width re-plans.
+    candidates = [(cand.nodes, preemption_columns[cand.job_id])
+                  for cand in preemptible]
 
     # Elastic extension: the release decision of a width re-plan is the
     # candidate's own fragment root indicator (no new variable, no extra
     # objective term — grow penalties live in the fragment's leaf values).
-    resize_roots: dict[str, int] = {}
     active_resizes: list[ResizeCandidate] = []
-    supply_cons: list[Constraint] = []
-    supply_rows: list[tuple[dict, float]] = []
+    commit_rows: dict[str, dict[int, float]] = {}  # job id -> row
     for cand in resizable:
-        ind = job_indicators.get(cand.job_id)
-        if ind is None:
+        root = job_columns.get(cand.job_id)
+        if root is None:
             continue  # every width option was culled this cycle
-        resize_roots[cand.job_id] = ind.index
-        victim_busy[cand.job_id] = {n: busy.get(n, 0) for n in cand.nodes}
         active_resizes.append(cand)
+        candidates.append((cand.nodes, root))
         # Commit row: the root indicator both grants the freed-nodes
         # supply credit and must therefore imply an actual width choice —
         # ``I <= sum(leaf indicators)``.  Without it the solver could
         # activate the root for the credit alone, a phantom release of a
         # still-running gang.  (A single-leaf fragment already ties the
         # root to its demand row.)
-        leaf_inds = {rec.indicator.index
-                     for rec in frag_records[cand.job_id]}
-        if leaf_inds != {ind.index}:
+        frag = next(f for f in fragments if f.job_id == cand.job_id)
+        leaf_inds = {root + ind for ind in frag.leaf_indicator}
+        if leaf_inds != {root}:
             coeffs = {i: -1.0 for i in leaf_inds}
-            coeffs[ind.index] = coeffs.get(ind.index, 0.0) + 1.0
-            con = Constraint(f"resize-commit[{cand.job_id}]",
-                             LinExpr(coeffs, 0.0), LE, 0.0)
-            supply_cons.append(con)
-            supply_rows.append((con.expr.coeffs, con.rhs))
+            coeffs[root] = coeffs.get(root, 0.0) + 1.0
+            commit_rows[cand.job_id] = coeffs
 
-    # Supply constraints: sum of P in used(x, t) <= avail(x, t)
-    # (+ nodes freed by any chosen preemptions or width re-plans).
-    # Drained nodes never return to supply, even when their holder is
-    # preempted or resized.
-    drained = getattr(state, "drained_nodes", frozenset())
-    for part in partitioning.partitions:
-        profile = state.availability_profile(
-            part.nodes, horizon, now, quantum_s)
-        for t in range(horizon):
-            users = used.get((part.pid, t))
-            if not users:
-                continue
-            coeffs: dict[int, float] = {}
-            for gi in users:
-                coeffs[gi] = coeffs.get(gi, 0.0) + 1.0
-            for cand in preemptible:
-                freed = sum(
-                    1 for n in cand.nodes
-                    if n in part.nodes and n not in drained
-                    and victim_busy[cand.job_id][n] > t)
-                if freed:
-                    ri = preemption_vars[cand.job_id].index
-                    coeffs[ri] = coeffs.get(ri, 0.0) - freed
-            for cand in active_resizes:
-                freed = sum(
-                    1 for n in cand.nodes
-                    if n in part.nodes and n not in drained
-                    and victim_busy[cand.job_id][n] > t)
-                if freed:
-                    ri = resize_roots[cand.job_id]
-                    coeffs[ri] = coeffs.get(ri, 0.0) - freed
-            con = Constraint(f"supply[p{part.pid},t{t}]",
-                             LinExpr(coeffs, 0.0), LE, float(profile[t]))
-            supply_cons.append(con)
-            supply_rows.append((con.expr.coeffs, con.rhs))
-    model.adopt_constraints(supply_cons)
-    model.set_objective(LinExpr(obj_coeffs, obj_constant), sense="maximize")
-    model.install_sparse_arrays(_assemble_sparse(
-        fragments, preemptible, supply_rows, obj_constant,
-        model.num_variables))
+    (lengths, cols, coefs, rhs), supply_keys, availability = _supply_rows(
+        packed, partitioning, horizon, state, quantum_s, now, candidates)
+    if commit_rows:
+        lengths = np.concatenate(
+            [[len(row) for row in commit_rows.values()], lengths])
+        cols = np.concatenate(
+            [np.fromiter(chain.from_iterable(commit_rows.values()), np.int64),
+             cols])
+        coefs = np.concatenate(
+            [np.fromiter(chain.from_iterable(
+                row.values() for row in commit_rows.values()), float), coefs])
+        rhs = np.concatenate([np.zeros(len(commit_rows)), rhs])
+    arrays = packed.export(
+        extra_ub=(lengths, cols, coefs, rhs),
+        # Maximize-sense coefficient of a kill decision is -penalty.
+        extra_objective=np.array([-float(cand.penalty)
+                                  for cand in preemptible]))
+
+    def col_names() -> list[str]:
+        return (list(chain.from_iterable(f.column_names() for f in fragments))
+                + [f"R[{cand.job_id}]" for cand in preemptible])
+
+    def row_names() -> list[str]:
+        return (list(chain.from_iterable(f.row_names() for f in fragments))
+                + [f"resize-commit[{job_id}]" for job_id in commit_rows]
+                + [f"supply[p{key // horizon},t{key % horizon}]"
+                   for key in supply_keys.tolist()])
+
+    model = Model.from_arrays("tetrisched-cycle", arrays, ArrayLayout(
+        domains=np.concatenate(
+            [packed.col_domain,
+             np.full(len(preemptible), _BINARY, dtype=np.int8)]),
+        row_is_eq=np.concatenate(
+            [packed.row_is_eq, np.zeros(lengths.shape[0], dtype=bool)]),
+        col_names=col_names, row_names=row_names))
+    leaf_counts = [len(frag.leaves) for frag in fragments]
+    leaf_ptr = np.zeros(sum(leaf_counts) + 1, dtype=np.int64)
+    np.cumsum(packed.leaf_parts, out=leaf_ptr[1:])
     return CompiledBatch(
         model=model, partitioning=partitioning, horizon=horizon,
-        job_indicators=job_indicators, leaf_records=records,
         job_order=[frag.job_id for frag in fragments],
-        stats=model.stats(), preemption_vars=preemption_vars,
+        job_columns=job_columns,
+        leaves=list(chain.from_iterable(f.leaves for f in fragments)),
+        leaf_job=np.repeat(np.arange(len(fragments)), leaf_counts),
+        leaf_indicator=(_concat(fragments, "leaf_indicator", np.int64)
+                        + np.repeat(packed.offsets[:-1], leaf_counts)),
+        leaf_is_nck=_concat(fragments, "leaf_is_nck", bool),
+        leaf_ptr=leaf_ptr, leaf_pcol=packed.leaf_pcol,
+        leaf_pid=packed.leaf_pid,
+        availability=availability, stats=model.stats(),
+        preemption_columns=preemption_columns,
         resize_candidates={cand.job_id: cand for cand in active_resizes})
+
+
+def _merge(acc: dict[int, float], terms: dict[int, float]) -> dict[int, float]:
+    """``acc += terms`` on ``{column: coefficient}`` maps, in place.
+
+    A coefficient that cancels to exactly zero leaves the map and a new
+    column joins at the end — ``LinExpr.__add__``'s rules, which fix the
+    within-row coefficient order (insertion order) the export is pinned to.
+    """
+    for col, coef in terms.items():
+        total = acc.get(col, 0.0) + coef
+        if total == 0.0:
+            acc.pop(col, None)
+        else:
+            acc[col] = total
+    return acc
+
+
+def _scaled(terms: dict[int, float], factor: float) -> dict[int, float]:
+    if factor == 0.0:
+        return {}
+    return {col: coef * factor for col, coef in terms.items()}
+
+
+def _equivalence_sets(exprs, seen: dict) -> dict:
+    """Distinct leaf equivalence sets under ``exprs``, in first-seen order."""
+    for expr in exprs:
+        if isinstance(expr, (NCk, LnCk)):
+            seen[expr.nodes] = None
+        else:
+            _equivalence_sets(expr.children(), seen)
+    return seen
 
 
 class StrlCompiler:
@@ -559,6 +764,7 @@ class StrlCompiler:
         #: disabling the paper's dynamic-partitioning optimization (TR
         #: Appendix A).  Schedules are identical; MILPs are much larger.
         self.minimal_partitioning = minimal_partitioning
+        self._partitioning: Partitioning | None = None
 
     def compile(self, batch: list[tuple[str, StrlNode]],
                 preemptible: list[PreemptionCandidate] | None = None,
@@ -598,7 +804,7 @@ class StrlCompiler:
 
     def build_partitioning(self, exprs: list[StrlNode]) -> Partitioning:
         """Dynamic minimal partitioning over a batch's equivalence sets."""
-        eq_sets = [leaf.nodes for expr in exprs for leaf in expr.leaves()]
+        eq_sets = list(_equivalence_sets(exprs, {}))
         if self.minimal_partitioning:
             return Partitioning(self.state.universe, eq_sets)
         # Ablation: singleton partitions (one integer variable per node
@@ -610,140 +816,216 @@ class StrlCompiler:
                          partitioning: Partitioning) -> JobFragment:
         """Compile one job's STRL into a relocatable :class:`JobFragment`.
 
-        Runs Algorithm 1's ``gen`` against a throwaway scratch model whose
-        column space is the fragment's local index space, then snapshots
-        variables, constraints, objective terms, leaf bookkeeping, the
-        used ledger and the scratch model's own CSR export.  Nothing here
-        reads cluster availability or ``now`` — fragments stay valid
-        across cycles while ``expr`` and ``partitioning`` are unchanged.
+        Runs Algorithm 1's ``gen`` with the fragment's buffers as the
+        output: every column, row, objective term and leaf-table entry is
+        appended where it is generated.  Nothing here reads cluster
+        availability or ``now`` — fragments stay valid across cycles while
+        ``expr`` and ``partitioning`` are unchanged.
         """
-        scratch = Model(f"frag[{job_id}]")
-        self._model = scratch
-        self._partitioning = partitioning
-        self._used: dict[tuple[int, int], list[Variable]] = {}
-        self._records: list[LeafRecord] = []
+        if partitioning is not self._partitioning:
+            self._partitioning = partitioning
+            #: Equivalence set -> (pids, capacities, node sets), ascending pid.
+            self._parts: dict[frozenset[str], tuple] = {}
+        # When the availability provider knows about node-level fragmentation
+        # (the greedy mode's PlanAccumulator), each partition variable is
+        # capped by the number of nodes free for the leaf's *whole* interval.
+        # Per-slice supply alone can overestimate capacity once tentative
+        # reservations create non-prefix busy intervals.
+        self._interval_cap = getattr(self.state, "interval_free_count", None)
+        frag = self._frag = JobFragment(job_id, expr)
+        # Job-scoped naming: the counter restarts per fragment and names
+        # embed the job id, so names are unique across any batch and
+        # *stable* across cycles no matter which jobs come and go.
         self._counter = 0
-        self._job_id = job_id
-        indicator = scratch.add_binary(f"I[{job_id}]")
-        objective = self._gen(expr, indicator)
-        scratch.set_objective(objective, sense="maximize")
-        sparse = scratch.to_sparse_arrays()
-        from repro.solver.parallel import fingerprint_arrays
-        fragment = JobFragment(
-            job_id=job_id, expr=expr, horizon=expr.horizon(),
-            variables=list(scratch.variables),
-            constraints=list(scratch.constraints),
-            objective_coeffs=dict(scratch.objective.coeffs),
-            objective_constant=scratch.objective.constant,
-            leaf_specs=[
-                (rec.leaf, rec.indicator.index,
-                 {pid: v.index for pid, v in rec.partition_vars.items()})
-                for rec in self._records],
-            used={key: tuple(v.index for v in pvars)
-                  for key, pvars in self._used.items()},
-            sparse=sparse,
-            fingerprint=fingerprint_arrays(sparse).exact)
-        # Release builder state.
-        del self._model, self._partitioning, self._used, self._records
-        return fragment
+        self._column(1.0, _BINARY, 0)
+        frag.objective = self._gen(expr, 0)
+        del self._frag
+        return frag
+
+    # -- buffer writers ------------------------------------------------------
+    def _fresh(self) -> int:
+        self._counter += 1
+        return self._counter
+
+    def _column(self, ub: float, domain: int, counter: int) -> int:
+        frag = self._frag
+        frag.col_ub.append(ub)
+        frag.col_domain.append(domain)
+        frag.col_counter.append(counter)
+        return len(frag.col_ub) - 1
+
+    def _row(self, terms: dict[int, float], is_eq: bool, kind: int,
+             counter: int) -> None:
+        frag = self._frag
+        frag.row_len.append(len(terms))
+        frag.row_is_eq.append(is_eq)
+        frag.row_kind.append(kind)
+        frag.row_counter.append(counter)
+        frag.row_cols.extend(terms)
+        frag.row_coefs.extend(terms.values())
+
+    def _parts_of(self, nodes: frozenset[str]) -> tuple:
+        """(pids, capacities, node sets) of an equivalence set's partitions."""
+        parts = self._parts.get(nodes)
+        if parts is None:
+            found = self._partitioning.partitions_of(nodes)
+            parts = self._parts[nodes] = (
+                tuple(p.pid for p in found),
+                tuple(p.capacity for p in found),
+                tuple(p.nodes for p in found))
+        return parts
+
+    def _leaves(self, run: tuple[NCk | LnCk, ...],
+                indicator: int | None = None) -> tuple[list[int], list[int]]:
+        """Emit leaves of one type drawing the same ``k`` from the same
+        equivalence set; returns their (indicator, partition) columns.
+
+        Each leaf gets one integer variable per partition of the set and
+        its demand row — ``sum_x P_x == k * I`` (nCk) or ``<= k * I``
+        (LnCk, any count up to k) — and its leaf-table rows, which are
+        also its ledger entries.  With ``indicator=None`` (the children of
+        a choice) every leaf also gets a fresh binary indicator column in
+        front of its partition variables; otherwise the leaves hang under
+        the given column.
+
+        The leaves differ only in start, duration and value, so all of
+        them are the same column block and the same row shape: the
+        buffers are filled by strided slices, block by block, and come out
+        exactly as leaf-by-leaf emission would write them.
+        """
+        frag = self._frag
+        is_nck = type(run[0]) is NCk
+        pids, capacities, node_sets = self._parts_of(run[0].nodes)
+        r, m, k = len(run), len(pids), run[0].k
+        own = indicator is None
+        stride = m + own
+        col0 = len(frag.col_ub)
+        cols = range(col0, col0 + stride * r)
+        indicators = list(cols[::stride]) if own else [indicator] * r
+        pcols = [c for c in cols if (c - col0) % stride >= own]
+
+        # Leaf j takes one counter for its indicator (if any), one for itself.
+        step, ctr0 = own + 1, self._counter
+        self._counter += step * r
+        leaf_ctrs = range(ctr0 + step, ctr0 + step * r + 1, step)
+        ub = [1.0] * (stride * r)
+        domain = [_BINARY] * (stride * r)
+        counters = [0] * (stride * r)
+        if own:
+            counters[::stride] = range(ctr0 + 1, ctr0 + step * r, step)
+        for q in range(m):
+            if self._interval_cap is None:
+                bound = [float(min(k, capacities[q]))] * r
+            else:
+                bound = [float(min(k, capacities[q], self._interval_cap(
+                    node_sets[q], leaf.start, leaf.duration)))
+                    for leaf in run]
+            ub[q + own::stride] = bound
+            domain[q + own::stride] = [_INTEGER] * r
+            counters[q + own::stride] = leaf_ctrs
+        frag.col_ub.extend(ub)
+        frag.col_domain.extend(domain)
+        frag.col_counter.extend(counters)
+
+        # Demand rows, partition variables first.
+        demand = [0] * ((m + 1) * r)
+        for q in range(m):
+            demand[q::m + 1] = cols[q + own::stride]
+        demand[m::m + 1] = indicators
+        frag.row_len.extend([m + 1] * r)
+        frag.row_is_eq.extend([is_nck] * r)
+        frag.row_kind.extend([_DEMAND_NCK if is_nck else _DEMAND_LNCK] * r)
+        frag.row_counter.extend(leaf_ctrs)
+        frag.row_cols.extend(demand)
+        frag.row_coefs.extend(([1.0] * m + [-float(k)]) * r)
+
+        frag.leaves.extend(run)
+        frag.leaf_indicator.extend(indicators)
+        frag.leaf_is_nck.extend([is_nck] * r)
+        frag.leaf_start.extend([leaf.start for leaf in run])
+        frag.leaf_duration.extend([leaf.duration for leaf in run])
+        frag.leaf_parts.extend([m] * r)
+        frag.leaf_pcol.extend(pcols)
+        frag.leaf_pid.extend(pids * r)
+        return indicators, pcols
 
     # -- Algorithm 1's gen(expr, I) -----------------------------------------
-    def _fresh(self, tag: str) -> str:
-        # Job-scoped naming: the counter restarts per fragment and the tag
-        # embeds the job id, so names are unique across any batch and
-        # *stable* across cycles no matter which jobs come and go.
-        self._counter += 1
-        return f"{tag}[{self._job_id}]#{self._counter}"
+    def _gen(self, expr: StrlNode, indicator: int) -> dict[int, float]:
+        """Emit ``expr`` under indicator column ``indicator``.
 
-    def _gen(self, expr: StrlNode, indicator: Variable) -> LinExpr:
+        Returns the sub-expression's objective contribution as a
+        ``{column: coefficient}`` map (objectives flow upward).
+        """
         if isinstance(expr, NCk):
-            return self._gen_nck(expr, indicator)
+            self._leaves((expr,), indicator)
+            return {indicator: expr.value}
         if isinstance(expr, LnCk):
-            return self._gen_lnck(expr, indicator)
-        if isinstance(expr, Max):
-            return self._gen_choice(expr, indicator, at_most=1)
-        if isinstance(expr, ElasticNCk):
-            # Desugars to max over per-width nCk options: exactly the
-            # paper's combinators, so the per-(width, start) indicators
+            # Value is linear in the count: v * sum_x P_x / k.
+            _, pcols = self._leaves((expr,), indicator)
+            return _scaled(dict.fromkeys(pcols, 1.0),
+                           float(expr.value / expr.k))
+        if isinstance(expr, (Max, ElasticNCk)):
+            # ElasticNCk desugars to max over per-width nCk options: exactly
+            # the paper's combinators, so the per-(width, start) indicators
             # become ordinary column groups for the colgen/repair path.
             return self._gen_choice(expr, indicator, at_most=1)
         if isinstance(expr, Sum):
-            return self._gen_choice(expr, indicator, at_most=len(expr.subexprs))
+            return self._gen_choice(expr, indicator,
+                                    at_most=len(expr.subexprs))
         if isinstance(expr, Min):
             return self._gen_min(expr, indicator)
         if isinstance(expr, Scale):
-            return self._gen(expr.subexpr, indicator) * expr.factor
+            return _scaled(self._gen(expr.subexpr, indicator),
+                           float(expr.factor))
         if isinstance(expr, Barrier):
             return self._gen_barrier(expr, indicator)
         raise SchedulerError(f"cannot compile STRL node {expr!r}")
 
-    def _leaf_partition_vars(self, leaf: NCk | LnCk,
-                             tag: str) -> dict[int, Variable]:
-        """Create partition variables and register them in the used ledger."""
-        parts = self._partitioning.partitions_of(leaf.nodes)
-        # When the availability provider knows about node-level fragmentation
-        # (the greedy mode's PlanAccumulator), cap each partition variable by
-        # the number of nodes free for the leaf's *whole* interval.  Per-slice
-        # supply alone can overestimate capacity once tentative reservations
-        # create non-prefix busy intervals.
-        interval_cap = getattr(self.state, "interval_free_count", None)
-        pvars: dict[int, Variable] = {}
-        for part in parts:
-            ub = min(leaf.k, part.capacity)
-            if interval_cap is not None:
-                ub = min(ub, interval_cap(part.nodes, leaf.start, leaf.duration))
-            p = self._model.add_integer(
-                f"P[{tag},p{part.pid}]", lb=0, ub=ub)
-            pvars[part.pid] = p
-            for t in range(leaf.start, leaf.start + leaf.duration):
-                self._used.setdefault((part.pid, t), []).append(p)
-        return pvars
-
-    def _gen_nck(self, leaf: NCk, indicator: Variable) -> LinExpr:
-        tag = self._fresh("nCk")
-        pvars = self._leaf_partition_vars(leaf, tag)
-        # Demand: sum_x P_x == k * I.
-        self._model.add_constraint(
-            linear_sum(pvars.values()), "==", leaf.k * indicator,
-            name=f"demand[{tag}]")
-        self._records.append(LeafRecord(self._job_id, leaf, indicator, pvars))
-        return LinExpr({indicator.index: leaf.value})
-
-    def _gen_lnck(self, leaf: LnCk, indicator: Variable) -> LinExpr:
-        tag = self._fresh("LnCk")
-        pvars = self._leaf_partition_vars(leaf, tag)
-        # Demand: sum_x P_x <= k * I (any count up to k).
-        self._model.add_constraint(
-            linear_sum(pvars.values()), "<=", leaf.k * indicator,
-            name=f"demand[{tag}]")
-        self._records.append(LeafRecord(self._job_id, leaf, indicator, pvars))
-        # Value is linear in the count: v * sum_x P_x / k.
-        return linear_sum(pvars.values()) * (leaf.value / leaf.k)
-
-    def _gen_choice(self, expr: Max | Sum | ElasticNCk, indicator: Variable,
-                    at_most: int) -> LinExpr:
-        objective = LinExpr()
-        child_inds = []
-        for child in expr.children():
-            ci = self._model.add_binary(self._fresh("I"))
-            child_inds.append(ci)
-            objective = objective + self._gen(child, ci)
+    def _gen_choice(self, expr: Max | Sum | ElasticNCk, indicator: int,
+                    at_most: int) -> dict[int, float]:
+        objective: dict[int, float] = {}
+        row: dict[int, float] = {}
+        children = expr.children()
+        i, n = 0, len(children)
+        while i < n:
+            child = children[i]
+            j = i + 1
+            if type(child) is NCk:
+                # A job's max is mostly one placement option replicated
+                # over start times: same equivalence set, same k.  Emit
+                # each such run of children in one go.
+                nodes, k = child.nodes, child.k
+                while (j < n and type(children[j]) is NCk
+                       and children[j].nodes is nodes and children[j].k == k):
+                    j += 1
+                indicators, _ = self._leaves(children[i:j])
+                row.update(dict.fromkeys(indicators, 1.0))
+                _merge(objective, {ci: leaf.value for ci, leaf
+                                   in zip(indicators, children[i:j])})
+            else:
+                ci = self._column(1.0, _BINARY, self._fresh())
+                row[ci] = 1.0
+                _merge(objective, self._gen(child, ci))
+            i = j
         # max: sum I_i <= I; sum: sum I_i <= n * I.
-        self._model.add_constraint(
-            linear_sum(child_inds), "<=", at_most * indicator,
-            name=self._fresh("choice"))
+        row[indicator] = -float(at_most)
+        self._row(row, False, _CHOICE, self._fresh())
         return objective
 
-    def _gen_min(self, expr: Min, indicator: Variable) -> LinExpr:
-        v = self._model.add_continuous(self._fresh("V"), lb=0.0)
+    def _gen_min(self, expr: Min, indicator: int) -> dict[int, float]:
+        v = self._column(np.inf, _CONTINUOUS, self._fresh())
         for child in expr.subexprs:
-            f_i = self._gen(child, indicator)  # children share parent's I
-            self._model.add_constraint(v, "<=", f_i, name=self._fresh("min"))
-        return LinExpr({v.index: 1.0})
+            # Children share the parent's I; V <= f_i for each of them.
+            f_i = self._gen(child, indicator)
+            self._row(_merge({v: 1.0}, _scaled(f_i, -1.0)), False, _MIN,
+                      self._fresh())
+        return {v: 1.0}
 
-    def _gen_barrier(self, expr: Barrier, indicator: Variable) -> LinExpr:
+    def _gen_barrier(self, expr: Barrier, indicator: int) -> dict[int, float]:
         f = self._gen(expr.subexpr, indicator)
         # v * I <= f: only yield the threshold if the child reaches it.
-        self._model.add_constraint(
-            expr.threshold * indicator, "<=", f, name=self._fresh("barrier"))
-        return LinExpr({indicator.index: expr.threshold})
+        threshold = float(expr.threshold)
+        lhs = {indicator: threshold} if threshold != 0.0 else {}
+        self._row(_merge(lhs, _scaled(f, -1.0)), False, _BARRIER,
+                  self._fresh())
+        return {indicator: expr.threshold}

@@ -17,9 +17,10 @@ which is exactly what ``delta_mode=verify`` re-checks every cycle.
 
 Fragment identity extends the component-cache fingerprint machinery
 (:func:`repro.solver.parallel.fingerprint_arrays`) one level up the
-pipeline: every fragment carries the SHA-256 of its local CSR export, and
-the per-cycle :class:`CycleDelta` reports how many fragments (and model
-rows/columns) were actually recompiled versus replayed.
+pipeline: a fragment can report the SHA-256 of its local CSR export
+(``JobFragment.fingerprint``, computed on first read), and the per-cycle
+:class:`CycleDelta` reports how many fragments (and model rows/columns)
+were actually recompiled versus replayed.
 
 Fallback rules (each records a full rebuild with a reason):
 
@@ -216,7 +217,7 @@ class DeltaCompiler:
             rows_patched=(sum(f.num_constraints for f in recompiled)
                           + supply_rows),
             cols_patched=(sum(f.num_variables for f in recompiled)
-                          + len(compiled.preemption_vars)))
+                          + len(compiled.preemption_columns)))
         if verify:
             self.verify_cycle(batch, compiled, preemptible=preemptible,
                               now=now, resizable=resizable)
@@ -229,10 +230,10 @@ class DeltaCompiler:
                      resizable: "list | None" = None) -> None:
         """Assert the delta-compiled model equals a from-scratch rebuild.
 
-        Also re-derives the delta model's CSR export through the canonical
-        exporter (bypassing the installed fast-assembled cache) and asserts
-        bit-equality, so the numpy offset-and-concatenate assembly path is
-        itself verified every cycle it runs.
+        Also rebuilds the delta model's object view from its arrays and
+        re-derives the CSR export from those objects through the canonical
+        exporter, asserting bit-equality — so what the audit oracles and
+        ``to_lp_string`` read is verified to be the model that was solved.
         """
         reference = StrlCompiler(
             self.state, self.quantum_s, now,
@@ -315,16 +316,6 @@ class DomainDeltaStores:
         return total
 
 
-def _fresh_export(model: Model):
-    """The canonical CSR export, computed from scratch (cache bypassed)."""
-    installed = model._sparse_cache
-    model._sparse_cache = None
-    try:
-        return model.to_sparse_arrays()
-    finally:
-        model._sparse_cache = installed
-
-
 def _sparse_fields(sa) -> list[tuple[str, np.ndarray]]:
     out = [("c", sa.c), ("b_ub", sa.b_ub), ("b_eq", sa.b_eq),
            ("lb", sa.lb), ("ub", sa.ub), ("integrality", sa.integrality)]
@@ -390,21 +381,19 @@ def assert_models_equal(model_a: Model, model_b: Model) -> None:
             or list(obj_a.coeffs) != list(obj_b.coeffs)
             or obj_a.constant != obj_b.constant):
         raise DeltaDivergence("objectives differ")
-    _compare_exports("delta", _fresh_export(model_a),
-                     "full", _fresh_export(model_b))
+    _compare_exports("delta", model_a.export_from_objects(),
+                     "full", model_b.export_from_objects())
 
 
 def assert_installed_export(model: Model) -> None:
-    """Raise unless the model's cached export matches a fresh recompute.
+    """Raise unless the model's export matches a recompute from its objects.
 
-    Validates the fast fragment-concatenation CSR assembly against the
-    canonical per-constraint exporter.  No-op when nothing is cached.
+    For an array-backed (compiled) model this is the round trip arrays ->
+    ``variables`` / ``constraints`` / ``objective`` -> canonical
+    per-constraint exporter, which must be the identity.
     """
-    installed = model._sparse_cache
-    if installed is None:
-        return
-    _compare_exports("installed", installed,
-                     "recomputed", _fresh_export(model))
+    _compare_exports("installed", model.to_sparse_arrays(),
+                     "recomputed", model.export_from_objects())
 
 
 __all__ = [

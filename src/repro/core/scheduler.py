@@ -1054,6 +1054,17 @@ class TetriSched:
         return allocs
 
     # -- warm start --------------------------------------------------------------------------
+    @property
+    def _warm_start_wanted(self) -> bool:
+        """Whether a cycle should build a warm start at all.
+
+        A backend that cannot take an incumbent declares
+        ``consumes_warm_start = False`` (HiGHS through scipy has no hook for
+        one); building the shifted plan for it is work nobody reads.
+        """
+        return self.config.warm_start and getattr(
+            self._backend, "consumes_warm_start", True)
+
     def _build_warm_start(self, compiled: CompiledBatch,
                           now: float) -> np.ndarray | None:
         """Previous cycle's plan, shifted forward, as a feasible MILP point.
@@ -1069,50 +1080,51 @@ class TetriSched:
         if elapsed_q < 0:
             return None
 
-        # Remaining capacity ledger per (partition, quantum).
-        remaining: dict[tuple[int, int], int] = {}
-        for part in compiled.partitioning.partitions:
-            profile = self.state.availability_profile(
-                part.nodes, compiled.horizon, now, self.config.quantum_s)
-            for t in range(compiled.horizon):
-                remaining[(part.pid, t)] = profile[t]
+        # Remaining capacity per (partition, quantum): the profiles the
+        # supply rows were written against, drawn down as leaves refill.
+        remaining = {pid: profile.copy()
+                     for pid, profile in compiled.availability.items()}
+        upper = compiled.model.to_sparse_arrays().ub
 
         # Index compiled leaves by (job, eq-set, start, duration).
-        by_key = {}
-        for rec in compiled.leaf_records:
-            key = (rec.job_id, rec.leaf.nodes, rec.leaf.start,
-                   rec.leaf.duration)
-            by_key.setdefault(key, rec)
+        by_key: dict[tuple, int] = {}
+        for i, leaf in enumerate(compiled.leaves):
+            by_key.setdefault((int(compiled.leaf_job[i]), leaf.nodes,
+                               leaf.start, leaf.duration), i)
+        job_index = {job_id: j for j, job_id in enumerate(compiled.job_order)}
 
         x = np.zeros(compiled.model.num_variables)
         used_any = False
         for job_id, leaf in self._prev_plan:
             new_start = leaf.start - elapsed_q
-            if new_start < 0 or job_id not in compiled.job_indicators:
+            if new_start < 0 or job_id not in job_index:
                 continue
-            rec = by_key.get((job_id, leaf.nodes, new_start, leaf.duration))
-            if rec is None:
+            i = by_key.get((job_index[job_id], leaf.nodes, new_start,
+                            leaf.duration))
+            if i is None:
                 continue
-            # Greedily refill the leaf's demand from its partitions.
-            plan: list[tuple[int, int]] = []
+            # Greedily refill the leaf's demand from its partitions
+            # (the leaf table lists them in ascending partition order).
+            entries = range(compiled.leaf_ptr[i], compiled.leaf_ptr[i + 1])
+            plan: list[tuple[int, int, int]] = []
             needed = leaf.k
-            span = range(new_start, new_start + leaf.duration)
-            for pid, pvar in sorted(rec.partition_vars.items()):
+            span = slice(new_start, new_start + leaf.duration)
+            for e in entries:
                 if needed == 0:
                     break
-                avail = min(remaining[(pid, t)] for t in span)
-                take = min(needed, avail, int(pvar.ub or 0))
+                pid, col = int(compiled.leaf_pid[e]), int(compiled.leaf_pcol[e])
+                take = min(needed, int(remaining[pid][span].min()),
+                           int(upper[col]))
                 if take > 0:
-                    plan.append((pid, take))
+                    plan.append((pid, col, take))
                     needed -= take
             if needed > 0:
                 continue  # no longer fits; drop from warm start
-            for pid, take in plan:
-                x[rec.partition_vars[pid].index] = take
-                for t in span:
-                    remaining[(pid, t)] -= take
-            x[rec.indicator.index] = 1.0
-            x[compiled.job_indicators[job_id].index] = 1.0
+            for pid, col, take in plan:
+                x[col] = take
+                remaining[pid][span] -= take
+            x[compiled.leaf_indicator[i]] = 1.0
+            x[compiled.job_columns[job_id]] = 1.0
             used_any = True
         if not used_any:
             return None

@@ -141,9 +141,9 @@ class ModelBuild:
         ctx.nnz = sp.nnz
         obs.emit("scheduler.model_build",
                  variables=ctx.compiled.model.num_variables,
-                 constraints=len(ctx.compiled.model.constraints),
+                 constraints=ctx.compiled.model.num_constraints,
                  nnz=ctx.nnz)
-        if ctx.config.warm_start:
+        if sched._warm_start_wanted:
             ctx.telemetry.warm_start_attempted = True
             with obs.span("warm_start"):
                 ctx.warm_start = sched._build_warm_start(ctx.compiled, ctx.now)
@@ -259,10 +259,9 @@ class Extract:
         with obs.span("decode"):
             placements = [pl for pl in compiled.decode(res.x)
                           if pl.job_id not in keeps]
-            sched._prev_plan = [(rec.job_id, rec.leaf)
-                                for rec in compiled.leaf_records
-                                if rec.chosen_counts(res.x)
-                                and rec.job_id not in compiled.resize_candidates]
+            sched._prev_plan = [
+                (job_id, leaf) for job_id, leaf in compiled.chosen_plan(res.x)
+                if job_id not in compiled.resize_candidates]
             sched._prev_now = ctx.now
 
         with obs.span("materialize"):

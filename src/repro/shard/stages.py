@@ -104,7 +104,7 @@ class DomainModelBuild:
         obs.emit("scheduler.model_build",
                  variables=ctx.telemetry.milp_variables,
                  constraints=ctx.telemetry.milp_constraints, nnz=ctx.nnz)
-        if ctx.config.warm_start:
+        if sched._warm_start_wanted:
             ctx.telemetry.warm_start_attempted = True
             with obs.span("warm_start"):
                 for did in sh.active_domains():
@@ -255,10 +255,7 @@ class DomainExtract:
             compiled = sh.compiled[did]
             with obs.span("decode"):
                 placements = compiled.decode(res.x)
-                prev_plan.extend(
-                    (rec.job_id, rec.leaf)
-                    for rec in compiled.leaf_records
-                    if rec.chosen_counts(res.x))
+                prev_plan.extend(compiled.chosen_plan(res.x))
             with obs.span("materialize"):
                 allocs = sched._materialize(placements, compiled, acc,
                                             ctx.requests, ctx.now)
@@ -367,9 +364,7 @@ class DomainReconcile:
         tel.objective += res.objective
         with obs.span("decode"):
             placements = compiled.decode(res.x)
-            sched._prev_plan.extend(
-                (rec.job_id, rec.leaf) for rec in compiled.leaf_records
-                if rec.chosen_counts(res.x))
+            sched._prev_plan.extend(compiled.chosen_plan(res.x))
         with obs.span("materialize"):
             _materialize_transactional(ctx, compiled, placements, acc)
         obs.emit("scheduler.shard_reconcile", jobs=len(sh.boundary),

@@ -21,7 +21,12 @@ from repro.solver.scipy_backend import ScipyMILPSolver, scipy_available, solve_l
 
 
 class MILPBackend(Protocol):
-    """Anything with a ``solve(model, options=None) -> MILPResult``."""
+    """Anything with a ``solve(model, options=None) -> MILPResult``.
+
+    A backend that ignores ``options.warm_start`` may say so with a false
+    ``consumes_warm_start`` attribute; the scheduler then skips building
+    one.  Backends without the attribute are assumed to use it.
+    """
 
     def solve(self, model: Model,
               options: SolveOptions | None = None) -> MILPResult: ...

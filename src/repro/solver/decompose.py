@@ -9,11 +9,14 @@ far cheaper than one block of size ``n`` — the structure-exploitation
 argument CvxCluster makes for consensus problems (100-1000x) applies
 directly here.
 
-:func:`decompose` finds the blocks with a union-find sweep over constraint
-nonzeros (``O(nnz * alpha)``), builds one independent sub-:class:`Model`
-per block, and handles variables that appear in *no* constraint (e.g. a
-preemption decision whose victim frees no contested node) analytically
-from their bounds.  :func:`solve_decomposed` solves every component
+:func:`decompose` labels the blocks with vectorised min-label propagation
+over the model's CSR export (:func:`component_labels`), slices one
+independent array-backed sub-:class:`Model` per block out of that export,
+and handles variables that appear in *no* constraint (e.g. a preemption
+decision whose victim frees no contested node) analytically from their
+bounds.  A model that is one block with nothing free — every cycle of the
+benchmark workloads — is returned as its own single component, untouched.
+:func:`solve_decomposed` solves every component
 through any :class:`~repro.solver.backend.MILPBackend`, slices a full-model
 warm start down to each component, and recombines solutions, objective,
 bound and search statistics into a single :class:`MILPResult` whose ``x``
@@ -33,8 +36,8 @@ import numpy as np
 
 from repro import obs
 from repro.errors import SolverError
-from repro.solver.expr import LinExpr
-from repro.solver.model import MAXIMIZE, Model
+from repro.solver.model import (EQ, ArrayLayout, Model, SparseArrays,
+                                SparseMatrix)
 from repro.solver.options import UNSET, SolveOptions
 from repro.solver.result import MILPResult, SolveStatus
 
@@ -95,55 +98,97 @@ class Decomposition:
         return np.asarray(x_full, dtype=float)[comp.global_indices]
 
 
-class _UnionFind:
-    """Array-based union-find with path halving and union by size."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+def _row_firsts(mat: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of rows with entries, the first column of each such row)."""
+    nonempty = np.diff(mat.indptr) > 0
+    return nonempty, mat.indices[mat.indptr[:-1][nonempty]]
 
 
-def _free_value(var, coef: float, sense: str) -> float:
-    """Optimal value of an unconstrained variable, from its bounds."""
-    wants_high = coef > 0 if sense == MAXIMIZE else coef < 0
-    if coef == 0.0:
-        if var.lb is not None:
-            pick = var.lb
-        elif var.ub is not None:
-            pick = min(0.0, var.ub)
-        else:
-            pick = 0.0
-    elif wants_high:
-        if var.ub is None:
-            raise SolverError(
-                f"unconstrained variable {var.name!r} is unbounded in the "
-                f"objective direction")
-        pick = var.ub
-    else:
-        if var.lb is None:
-            raise SolverError(
-                f"unconstrained variable {var.name!r} is unbounded in the "
-                f"objective direction")
-        pick = var.lb
-    if var.is_integral:
-        pick = float(round(pick))
-    return float(pick)
+def component_labels(n: int, matrices: list[SparseMatrix]) -> np.ndarray:
+    """Label each of ``n`` columns with the smallest column it is connected to.
+
+    Two columns are connected when some row of some matrix mentions both.
+    Every row contributes the edges (entry column, the row's first column);
+    labels then converge by repeated *hook* (the root of each edge
+    endpoint adopts the smaller of the two endpoint labels) and *compress*
+    (``labels = labels[labels]`` until stable) — pointers only ever move to
+    smaller columns, so there are no cycles, and the fixed point labels
+    every column with the minimum column index of its component.  A column
+    in no row keeps its own index.
+    """
+    u = np.concatenate([mat.indices for mat in matrices])
+    anchors = []
+    for mat in matrices:
+        nonempty, firsts = _row_firsts(mat)
+        anchors.append(np.repeat(firsts, np.diff(mat.indptr)[nonempty]))
+    v = np.concatenate(anchors)
+    labels = np.arange(n)
+    while True:
+        lu, lv = labels[u], labels[v]
+        low = np.minimum(lu, lv)
+        hooked = labels.copy()
+        np.minimum.at(hooked, lu, low)
+        np.minimum.at(hooked, lv, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
+
+
+def _free_values(model: Model, sa: SparseArrays,
+                 free: np.ndarray) -> np.ndarray:
+    """Optimal values of unconstrained variables, from their bounds."""
+    c, lb, ub = sa.c[free], sa.lb[free], sa.ub[free]
+    indifferent = np.where(np.isfinite(lb), lb,
+                           np.where(np.isfinite(ub), np.minimum(0.0, ub),
+                                    0.0))
+    # Minimization orientation: a negative cost wants the upper bound.
+    pick = np.where(c == 0.0, indifferent, np.where(c < 0.0, ub, lb))
+    runaway = np.flatnonzero(~np.isfinite(pick))
+    if runaway.size:
+        name = model.variables[int(free[runaway[0]])].name
+        raise SolverError(
+            f"unconstrained variable {name!r} is unbounded in the "
+            f"objective direction")
+    integral = sa.integrality[free]
+    pick[integral] = np.rint(pick[integral])
+    return pick
+
+
+def _sub_model(model: Model, sa: SparseArrays, k: int, cols: np.ndarray,
+               local: np.ndarray, ub_rows: np.ndarray,
+               eq_rows: np.ndarray) -> Model:
+    """Block ``k``: columns ``cols`` and the export rows that touch them."""
+    def block(mat: SparseMatrix, keep: np.ndarray) -> SparseMatrix:
+        rows = mat.select_rows(keep)
+        return SparseMatrix((rows.shape[0], cols.shape[0]), rows.indptr,
+                            local[rows.indices], rows.data)
+
+    arrays = SparseArrays(
+        c=sa.c[cols], obj_constant=0.0, obj_sign=sa.obj_sign,
+        a_ub=block(sa.a_ub, ub_rows), b_ub=sa.b_ub[ub_rows],
+        a_eq=block(sa.a_eq, eq_rows), b_eq=sa.b_eq[eq_rows],
+        lb=sa.lb[cols], ub=sa.ub[cols], integrality=sa.integrality[cols])
+
+    def row_names() -> list[str]:
+        by_kind = {False: [], True: []}
+        for con in model.constraints:
+            by_kind[con.sense == EQ].append(con.name)
+        return ([by_kind[False][r] for r in np.flatnonzero(ub_rows)]
+                + [by_kind[True][r] for r in np.flatnonzero(eq_rows)])
+
+    # The sub-model lists its rows in export order: inequalities (a GE
+    # source row appears negated, as exported), then equalities.
+    n_ub, n_eq = int(ub_rows.sum()), int(eq_rows.sum())
+    return Model.from_arrays(f"{model.name}#c{k}", arrays, ArrayLayout(
+        domains=model.column_domains()[cols],
+        row_is_eq=np.repeat([False, True], [n_ub, n_eq]),
+        col_names=lambda: [model.variables[i].name for i in cols.tolist()],
+        row_names=row_names))
 
 
 def decompose(model: Model) -> Decomposition:
@@ -152,63 +197,58 @@ def decompose(model: Model) -> Decomposition:
     Two variables are connected when some constraint mentions both; the
     components of that graph are exactly the blocks of the (permuted)
     block-diagonal constraint matrix.  Every constraint lands in exactly
-    one component (all its variables share a root by construction).
+    one component (all its variables share a label by construction).
+    Components are ordered by their smallest column index.
     """
+    sa = model.to_sparse_arrays()
     n = model.num_variables
-    uf = _UnionFind(n)
-    in_constraint = np.zeros(n, dtype=bool)
-    for con in model.constraints:
-        idxs = list(con.expr.coeffs.keys())
-        for i in idxs:
-            in_constraint[i] = True
-        first = idxs[0] if idxs else None
-        for i in idxs[1:]:
-            uf.union(first, i)
+    labels = component_labels(n, [sa.a_ub, sa.a_eq])
+    constrained = np.zeros(n, dtype=bool)
+    constrained[sa.a_ub.indices] = True
+    constrained[sa.a_eq.indices] = True
+    roots = np.unique(labels[constrained])
+    if roots.size == 1 and constrained.all():
+        # The untouched source model's own result already carries its
+        # objective constant, so the decomposition adds none on top.
+        whole = SubProblem(model=model,
+                           global_indices=np.arange(n, dtype=np.int64))
+        return Decomposition(source=model, components=[whole],
+                             free_indices=np.zeros(0, dtype=np.int64),
+                             free_values=np.zeros(0), free_objective=0.0,
+                             constant=0.0)
 
-    # Group constrained variables by root, preserving column order.
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        if in_constraint[i]:
-            groups.setdefault(uf.find(i), []).append(i)
-
-    sense = model.objective_sense
+    # Component of every column (-1: free) and its position within it.
+    comp = np.where(constrained, np.searchsorted(roots, labels), -1)
+    local = np.zeros(n, dtype=np.int64)
     components: list[SubProblem] = []
-    local_of: dict[int, tuple[int, int]] = {}  # global -> (comp, local)
-    for k, (root, idxs) in enumerate(sorted(groups.items())):
-        sub = Model(f"{model.name}#c{k}")
-        for local, gi in enumerate(idxs):
-            v = model.variables[gi]
-            sub._add_var(v.name, v.lb, v.ub, v.domain)
-            local_of[gi] = (k, local)
-        obj = LinExpr({local_of[gi][1]: model.objective.coeffs[gi]
-                       for gi in idxs if gi in model.objective.coeffs})
-        sub.set_objective(obj, sense=sense)
-        components.append(SubProblem(model=sub,
-                                     global_indices=np.asarray(idxs,
-                                                               dtype=np.int64)))
 
-    for con in model.constraints:
-        idxs = con.expr.coeffs
-        if not idxs:
-            continue  # constant constraints were validated at add time
-        k, _ = local_of[next(iter(idxs))]
-        sub = components[k].model
-        expr = LinExpr({local_of[gi][1]: coef for gi, coef in idxs.items()})
-        sub.add_constraint(expr, con.sense, con.rhs, name=con.name)
+    def row_comp(mat: SparseMatrix) -> np.ndarray:
+        """Component of each export row (-1 for a row with no entries)."""
+        nonempty, firsts = _row_firsts(mat)
+        out = np.full(nonempty.shape[0], -1)
+        out[nonempty] = comp[firsts]
+        return out
 
-    free = np.nonzero(~in_constraint)[0]
-    free_values = np.zeros(free.shape[0])
+    ub_comp, eq_comp = row_comp(sa.a_ub), row_comp(sa.a_eq)
+    for k in range(roots.size):
+        cols = np.flatnonzero(comp == k)
+        local[cols] = np.arange(cols.shape[0])
+        components.append(SubProblem(
+            model=_sub_model(model, sa, k, cols, local,
+                             ub_comp == k, eq_comp == k),
+            global_indices=cols))
+
+    free = np.flatnonzero(~constrained)
+    free_values = _free_values(model, sa, free)
+    # Summed left to right, so the value does not depend on numpy's
+    # pairwise (or Python 3.12's compensated) summation order.
     free_objective = 0.0
-    for pos, gi in enumerate(free):
-        coef = model.objective.coeffs.get(int(gi), 0.0)
-        free_values[pos] = _free_value(model.variables[gi], coef, sense)
-        free_objective += coef * free_values[pos]
-
+    for term in (sa.obj_sign * sa.c[free] * free_values).tolist():
+        free_objective += term
     return Decomposition(source=model, components=components,
-                         free_indices=free.astype(np.int64),
-                         free_values=free_values,
+                         free_indices=free, free_values=free_values,
                          free_objective=free_objective,
-                         constant=model.objective.constant)
+                         constant=sa.obj_constant)
 
 
 def _gather_results(decomps: list[Decomposition], backend,

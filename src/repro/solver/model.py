@@ -16,14 +16,24 @@ the plan-ahead window grew (Fig. 12 regimes).  The CSR export is
 ``O(nonzeros)`` and is cached on the model (invalidated by any mutation),
 so the pipeline's ModelBuild stage and the solver share one export.
 
+A model is built one of two ways.  Hand-written models go through the
+object API (``add_integer`` / ``add_constraint`` / ``set_objective``).  The
+scheduling cycle instead *is* its export: the STRL compiler and the
+decomposer assemble :class:`SparseArrays` directly and wrap them with
+:meth:`Model.from_arrays`; sizes, feasibility checks and objective values
+are then array reads, and ``variables`` / ``constraints`` / ``objective``
+are rebuilt from the arrays (plus an :class:`ArrayLayout` of names and
+domains) only for a consumer that asks — the audit oracles,
+``delta_mode=verify``, :meth:`Model.to_lp_string`, tests.
+
 This mirrors the paper's architecture where "the internal MILP model can be
 translated to any MILP backend" (Sec. 3.2.2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -214,6 +224,32 @@ class SparseArrays:
             lb=self.lb, ub=self.ub, integrality=self.integrality)
 
 
+#: Column domain tags by :attr:`ArrayLayout.domains` code.
+DOMAIN_BY_CODE = (CONTINUOUS, INTEGER, BINARY)
+
+
+@dataclass(frozen=True)
+class ArrayLayout:
+    """What :meth:`Model.from_arrays` needs, beyond the export, to rebuild
+    the object view of a model on demand."""
+
+    #: Per column: index into :data:`DOMAIN_BY_CODE` (an integer column
+    #: with bounds ``[0, 1]`` is still ``INTEGER``, not ``BINARY``).
+    domains: np.ndarray
+    #: Per constraint, in model order: True for an equality row.  The k-th
+    #: True is export row ``a_eq[k]``, the k-th False is ``a_ub[k]``.
+    row_is_eq: np.ndarray
+    #: ``() -> names`` of the columns / of the constraints (model order),
+    #: each called at most once.  ``None`` after pickling — a pool worker
+    #: solves from the arrays and would name anything it rebuilt
+    #: ``x0..`` / ``c0..``.
+    col_names: Callable[[], list[str]] | None
+    row_names: Callable[[], list[str]] | None
+
+    def __reduce__(self):
+        return ArrayLayout, (self.domains, self.row_is_eq, None, None)
+
+
 class Model:
     """A mixed integer linear program.
 
@@ -227,21 +263,111 @@ class Model:
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        self.objective: LinExpr = LinExpr()
+        # ``None`` while the model is array-backed and nobody has asked for
+        # the object view yet (see :meth:`from_arrays`).
+        self._variables: list[Variable] | None = []
+        self._constraints: list[Constraint] | None = []
+        self._objective: LinExpr | None = LinExpr()
         self.objective_sense: str = MAXIMIZE
         self._names: set[str] = set()
         self._sparse_cache: SparseArrays | None = None
+        self._layout: ArrayLayout | None = None
+
+    @classmethod
+    def from_arrays(cls, name: str, arrays: SparseArrays,
+                    layout: ArrayLayout) -> "Model":
+        """An array-backed model: ``arrays`` *is* the model.
+
+        No :class:`Variable`, :class:`Constraint` or :class:`LinExpr` is
+        created until one of :attr:`variables`, :attr:`constraints`,
+        :attr:`objective` is read (or the model is mutated through the
+        object API, which rebuilds them first).  Only cheap shape checks
+        run here.
+        """
+        n = arrays.c.shape[0]
+        rows = arrays.b_ub.shape[0] + arrays.b_eq.shape[0]
+        if layout.domains.shape[0] != n or arrays.lb.shape[0] != n:
+            raise ModelError(
+                f"layout covers {layout.domains.shape[0]} columns, "
+                f"arrays have {n}")
+        if layout.row_is_eq.shape[0] != rows:
+            raise ModelError(
+                f"layout covers {layout.row_is_eq.shape[0]} rows, "
+                f"arrays have {rows}")
+        model = cls(name)
+        model._variables = model._constraints = model._objective = None
+        model.objective_sense = MAXIMIZE if arrays.obj_sign < 0 else MINIMIZE
+        model._sparse_cache = arrays
+        model._layout = layout
+        return model
+
+    @property
+    def variables(self) -> list[Variable]:
+        if self._variables is None:
+            sa, layout = self._sparse_cache, self._layout
+            names = (layout.col_names() if layout.col_names is not None
+                     else [f"x{i}" for i in range(self.num_variables)])
+            self._variables = [
+                Variable(name, i, None if lo == -np.inf else lo,
+                         None if hi == np.inf else hi, DOMAIN_BY_CODE[code])
+                for i, (name, lo, hi, code) in enumerate(zip(
+                    names, sa.lb.tolist(), sa.ub.tolist(),
+                    layout.domains.tolist()))]
+            self._names = set(names)
+        return self._variables
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        if self._constraints is None:
+            sa, layout = self._sparse_cache, self._layout
+            names = (layout.row_names() if layout.row_names is not None
+                     else [f"c{i}" for i in range(self.num_constraints)])
+            next_row = {False: 0, True: 0}
+            constraints = []
+            for name, is_eq in zip(names, layout.row_is_eq.tolist()):
+                mat, b = (sa.a_eq, sa.b_eq) if is_eq else (sa.a_ub, sa.b_ub)
+                r = next_row[is_eq]
+                next_row[is_eq] = r + 1
+                cols, coefs = mat.row(r)
+                constraints.append(Constraint(
+                    name, LinExpr(dict(zip(cols.tolist(), coefs.tolist()))),
+                    EQ if is_eq else LE, float(b[r])))
+            self._constraints = constraints
+        return self._constraints
+
+    @property
+    def objective(self) -> LinExpr:
+        if self._objective is None:
+            sa = self._sparse_cache
+            nz = np.flatnonzero(sa.c)
+            self._objective = LinExpr(
+                dict(zip(nz.tolist(), (sa.obj_sign * sa.c[nz]).tolist())),
+                sa.obj_constant)
+        return self._objective
+
+    @property
+    def _arrays(self) -> SparseArrays | None:
+        """The arrays of an array-backed model, ``None`` for an object-built
+        one — the one test every size/value read below forks on."""
+        return self._sparse_cache if self._layout is not None else None
+
+    def _own_objects(self) -> None:
+        """Before a mutation: make the object view the model's only form."""
+        if self._layout is not None:
+            _ = self.variables
+            _ = self.constraints
+            _ = self.objective
+            self._layout = None
+        self._sparse_cache = None
 
     # -- variables ---------------------------------------------------------
     def _add_var(self, name: str, lb, ub, domain: str) -> Variable:
+        self._own_objects()
         if name in self._names:
             raise ModelError(f"duplicate variable name {name!r}")
-        var = Variable(name, len(self.variables), lb, ub, domain)
-        self.variables.append(var)
+        var = Variable(name, len(self._variables), lb, ub, domain)
+        self._variables.append(var)
         self._names.add(name)
-        self._sparse_cache = None
         return var
 
     def add_continuous(self, name: str, lb: float | None = 0.0,
@@ -260,15 +386,29 @@ class Model:
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        sa = self._arrays
+        return len(self._variables) if sa is None else int(sa.c.shape[0])
 
     @property
     def num_integer_variables(self) -> int:
-        return sum(1 for v in self.variables if v.is_integral)
+        sa = self._arrays
+        if sa is not None:
+            return int(np.count_nonzero(sa.integrality))
+        return sum(1 for v in self._variables if v.is_integral)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        sa = self._arrays
+        if sa is not None:
+            return int(sa.b_ub.shape[0] + sa.b_eq.shape[0])
+        return len(self._constraints)
+
+    def column_domains(self) -> np.ndarray:
+        """Per column: its domain as an index into :data:`DOMAIN_BY_CODE`."""
+        if self._layout is not None:
+            return self._layout.domains
+        return np.array([DOMAIN_BY_CODE.index(v.domain)
+                         for v in self.variables], dtype=np.int8)
 
     # -- constraints ---------------------------------------------------------
     def add_constraint(self, lhs: ExprLike, sense: str, rhs: ExprLike,
@@ -291,56 +431,28 @@ class Model:
                 raise ModelError(
                     f"constraint {name or ''} is constant and unsatisfiable: "
                     f"0 {sense} {rhs_value}")
+        self._own_objects()
         if name is None:
-            name = f"c{len(self.constraints)}"
+            name = f"c{len(self._constraints)}"
         con = Constraint(name, expr, sense, float(rhs_value))
-        self.constraints.append(con)
-        self._sparse_cache = None
+        self._constraints.append(con)
         return con
-
-    def adopt_variables(self, variables: list[Variable]) -> None:
-        """Append pre-built :class:`Variable` objects (delta assembly).
-
-        The variables must already carry the dense indices they will occupy
-        (``len(self.variables)``, ``+1``, ...) — the cross-cycle assembler
-        materializes whole job fragments at a column offset and hands the
-        finished objects over, skipping per-variable construction.
-        """
-        base = len(self.variables)
-        for k, var in enumerate(variables):
-            if var.index != base + k:
-                raise ModelError(
-                    f"adopted variable {var.name!r} carries index "
-                    f"{var.index}, expected {base + k}")
-            if var.name in self._names:
-                raise ModelError(f"duplicate variable name {var.name!r}")
-            self._names.add(var.name)
-        self.variables.extend(variables)
-        self._sparse_cache = None
-
-    def adopt_constraints(self, constraints: list[Constraint]) -> None:
-        """Append pre-normalized :class:`Constraint` objects (delta assembly).
-
-        Bypasses :meth:`add_constraint`'s expression normalization; callers
-        guarantee each constraint's ``expr.constant`` is 0 and its sense is
-        valid, which holds for anything that came out of a compiled fragment
-        or was built directly in normalized form.
-        """
-        self.constraints.extend(constraints)
-        self._sparse_cache = None
 
     # -- objective -----------------------------------------------------------
     def set_objective(self, expr: ExprLike, sense: str = MAXIMIZE) -> None:
         if sense not in (MAXIMIZE, MINIMIZE):
             raise ModelError(f"unknown objective sense {sense!r}")
-        self.objective = as_expr(expr).copy()
+        self._own_objects()
+        self._objective = as_expr(expr).copy()
         self.objective_sense = sense
-        self._sparse_cache = None
 
     def objective_value(self, x: np.ndarray) -> float:
         """Evaluate the model objective (in its own sense) at point ``x``."""
-        return (sum(c * x[i] for i, c in self.objective.coeffs.items())
-                + self.objective.constant)
+        sa = self._arrays
+        if sa is not None:
+            return sa.obj_sign * float(sa.c @ x) + sa.obj_constant
+        return (sum(c * x[i] for i, c in self._objective.coeffs.items())
+                + self._objective.constant)
 
     # -- export ----------------------------------------------------------------
     def to_sparse_arrays(self) -> SparseArrays:
@@ -350,10 +462,20 @@ class Model:
         :meth:`to_standard_arrays` exactly (inequality rows in constraint
         order with GE rows negated into LE, then equality rows).  The result
         is cached until the model is mutated, so the pipeline's ModelBuild
-        stage and the solve share one export.
+        stage and the solve share one export; for an array-backed model it
+        is the arrays the model was built from.
         """
-        if self._sparse_cache is not None:
-            return self._sparse_cache
+        if self._sparse_cache is None:
+            self._sparse_cache = self.export_from_objects()
+        return self._sparse_cache
+
+    def export_from_objects(self) -> SparseArrays:
+        """The CSR export recomputed from the object view, cache bypassed.
+
+        What :meth:`to_sparse_arrays` caches for a hand-built model.  On an
+        array-backed model it round-trips arrays -> objects -> arrays,
+        which ``delta_mode=verify`` asserts is the identity.
+        """
         n = self.num_variables
         c = np.zeros(n)
         for i, coef in self.objective.coeffs.items():
@@ -383,32 +505,10 @@ class Model:
                        for v in self.variables])
         integrality = np.array([v.is_integral for v in self.variables],
                                dtype=bool)
-        self._sparse_cache = SparseArrays(
+        return SparseArrays(
             c=c, obj_constant=self.objective.constant, obj_sign=obj_sign,
             a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
             lb=lb, ub=ub, integrality=integrality)
-        return self._sparse_cache
-
-    def install_sparse_arrays(self, arrays: SparseArrays) -> None:
-        """Install an externally assembled CSR export as the cached one.
-
-        The cross-cycle delta assembler builds the export by offsetting and
-        concatenating per-fragment CSR blocks — ``O(nonzeros)`` in numpy
-        instead of re-walking every constraint dict.  The arrays must
-        describe this model exactly (``delta_mode=verify`` recomputes the
-        canonical export and asserts bit-equality); only cheap shape checks
-        run here.
-        """
-        rows = arrays.a_ub.shape[0] + arrays.a_eq.shape[0]
-        if arrays.c.shape[0] != self.num_variables:
-            raise ModelError(
-                f"installed arrays cover {arrays.c.shape[0]} columns, "
-                f"model has {self.num_variables}")
-        if rows != self.num_constraints:
-            raise ModelError(
-                f"installed arrays cover {rows} rows, "
-                f"model has {self.num_constraints} constraints")
-        self._sparse_cache = arrays
 
     def to_standard_arrays(self) -> StandardArrays:
         """Export dense arrays in minimization orientation.
@@ -489,19 +589,22 @@ class Model:
                 return False
         return all(con.violation(x) <= tol for con in self.constraints)
 
-    def iter_integral_indices(self) -> Iterator[int]:
-        for v in self.variables:
-            if v.is_integral:
-                yield v.index
-
     def stats(self) -> dict[str, int]:
         """Size summary used by the scalability experiments (Fig. 12)."""
+        sa = self._arrays
+        if sa is not None:
+            binary = int(np.count_nonzero(
+                self._layout.domains == DOMAIN_BY_CODE.index(BINARY)))
+            nonzeros = sa.nnz
+        else:
+            binary = sum(1 for v in self.variables if v.domain == BINARY)
+            nonzeros = sum(len(c.expr.coeffs) for c in self.constraints)
         return {
             "variables": self.num_variables,
             "integer_variables": self.num_integer_variables,
-            "binary_variables": sum(1 for v in self.variables if v.domain == BINARY),
+            "binary_variables": binary,
             "constraints": self.num_constraints,
-            "nonzeros": sum(len(c.expr.coeffs) for c in self.constraints),
+            "nonzeros": nonzeros,
         }
 
     def to_lp_string(self) -> str:

@@ -83,6 +83,8 @@ class RepairSolver:
         #: Exposed for :func:`repro.solver.backend.backend_time_limit`.
         self.time_limit = time_limit
         self.seed_per_job = seed_per_job
+        #: The warm start only ever reaches the escalation target.
+        self.consumes_warm_start = getattr(exact, "consumes_warm_start", True)
 
     def solve(self, model: Model,
               options: SolveOptions | None = None) -> MILPResult:

@@ -103,6 +103,10 @@ class ScipyMILPSolver:
         ``to_standard_arrays`` path as a cross-check oracle.
     """
 
+    #: ``scipy.optimize.milp`` has no incumbent hook: a ``warm_start`` in
+    #: the options is accepted and ignored, so callers need not build one.
+    consumes_warm_start = False
+
     def __init__(self, rel_gap: float = 1e-6,
                  time_limit: float | None = None,
                  use_sparse: bool = True) -> None:

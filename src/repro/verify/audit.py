@@ -180,10 +180,10 @@ class _StrlEvaluator:
                 f"job {job_id!r}: leaf {leaf!r} has no matching compiled "
                 f"record (batch/tree structure diverged)"))
             return 0.0, False
-        indicator_on = self._x[rec.indicator.index] > 0.5
+        indicator_on = self._x[rec.indicator] > 0.5
         counts: dict[int, int] = {}
-        for pid, var in rec.partition_vars.items():
-            v = int(round(float(self._x[var.index])))
+        for pid, col in rec.partition_cols.items():
+            v = int(round(float(self._x[col])))
             if v < 0:
                 self._violations.append(Violation(
                     "audit.negative-count",
@@ -379,10 +379,10 @@ def audit_cycle(state: "ClusterState", compiled: "CompiledBatch",
 
     preempted = tuple(compiled.preempted_jobs(x))
     for job_id in preempted:
-        var = compiled.preemption_vars[job_id]
+        col = compiled.preemption_columns[job_id]
         # The kill penalty is the (negated) objective coefficient of the
         # preemption binary; read it back rather than trusting a config.
-        total_value -= -compiled.model.objective.coeffs.get(var.index, 0.0)
+        total_value -= -compiled.model.objective.coeffs.get(col, 0.0)
 
     # -- elastic width re-planning lifecycle -------------------------------
     # Keep decisions re-book the job's own quanta through a leaf placement

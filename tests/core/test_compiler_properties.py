@@ -6,7 +6,8 @@ Invariants checked on random STRL batches:
 2. the objective never exceeds the batch's theoretical maximum value
    (sum over jobs of ``max_value``);
 3. decoded placements never exceed per-partition per-quantum supply;
-4. every nCk placement allocates exactly its ``k`` nodes.
+4. every nCk placement allocates exactly its ``k`` nodes;
+5. bulk emission of leaf runs writes the same model as leaf-by-leaf.
 """
 
 import numpy as np
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterState
-from repro.core import StrlCompiler
+from repro.core import PlanAccumulator, StrlCompiler
 from repro.solver import make_backend, scipy_available
-from repro.strl import Max, Min, NCk
+from repro.solver.parallel import fingerprint_arrays
+from repro.strl import ElasticNCk, LnCk, Max, Min, NCk
 
 NODES = [f"n{i}" for i in range(6)]
 UNIVERSE = frozenset(NODES)
@@ -105,7 +107,7 @@ class TestCompilerInvariants:
 
         # Exact-k: every chosen nCk leaf record allocates exactly k.
         for rec in compiled.leaf_records:
-            if isinstance(rec.leaf, NCk) and res.x[rec.indicator.index] > 0.5:
+            if isinstance(rec.leaf, NCk) and res.x[rec.indicator] > 0.5:
                 total = sum(rec.chosen_counts(res.x).values())
                 assert total == rec.leaf.k
 
@@ -126,3 +128,75 @@ class TestCompilerInvariants:
                 part = compiled.partitioning.partitions[pid]
                 free = len(part.nodes - frozenset(busy))
                 assert count <= free
+
+
+@st.composite
+def _replicated_jobs(draw):
+    """Jobs shaped like the STRL generator's: options x start times.
+
+    Consecutive children of one ``max`` share an equivalence set (the same
+    frozenset object) and ``k`` — the runs the compiler emits in bulk —
+    with the odd elastic option or linear leaf breaking a run up.
+    """
+    batch = []
+    for j in range(draw(st.integers(1, 3))):
+        children = []
+        for _ in range(draw(st.integers(1, 3))):
+            size = draw(st.integers(1, 6))
+            nodes = frozenset(draw(st.permutations(NODES))[:size])
+            k = draw(st.integers(1, size))
+            duration = draw(st.integers(1, 3))
+            shape = draw(st.sampled_from(["rigid", "rigid", "elastic",
+                                          "linear"]))
+            for start in range(draw(st.integers(1, 5))):
+                value = float(draw(st.integers(0, 9)))
+                if shape == "elastic" and k > 1:
+                    children.append(ElasticNCk(
+                        nodes, k - 1, k, start, (duration + 1, duration),
+                        (value, value + 1.0)))
+                elif shape == "linear":
+                    children.append(LnCk(nodes, k, start, duration, value))
+                else:
+                    children.append(NCk(nodes, k, start, duration, value))
+        batch.append((f"job{j}", Max(*children)))
+    return batch
+
+
+def _unshared(expr):
+    """The same tree with every leaf holding its own copy of its node set."""
+    if isinstance(expr, (NCk, LnCk)):
+        return type(expr)(frozenset(sorted(expr.nodes)), expr.k, expr.start,
+                          expr.duration, expr.value)
+    if isinstance(expr, Max):
+        return Max(*[_unshared(child) for child in expr.subexprs])
+    return expr
+
+
+class TestBulkEmission:
+    @settings(max_examples=60, deadline=None)
+    @given(_replicated_jobs())
+    def test_leaf_runs_equal_leaf_by_leaf_emission(self, batch):
+        # Children of one max that share an equivalence set *object* and k
+        # are emitted as one run.  Equal-but-distinct sets break every run
+        # into single leaves; an idle plan accumulator caps nothing but
+        # makes every bound a per-leaf lookup.  Same model all three ways,
+        # down to the names.
+        state = ClusterState(UNIVERSE)
+        bulk = StrlCompiler(state, quantum_s=10).compile(batch)
+        others = [
+            StrlCompiler(state, quantum_s=10).compile(
+                [(job_id, _unshared(expr)) for job_id, expr in batch]),
+            StrlCompiler(PlanAccumulator(state, 0.0, 10.0),
+                         quantum_s=10).compile(batch)]
+        for other in others:
+            assert (fingerprint_arrays(bulk.model.to_sparse_arrays())
+                    == fingerprint_arrays(other.model.to_sparse_arrays()))
+            assert ([v.name for v in bulk.model.variables]
+                    == [v.name for v in other.model.variables])
+            assert ([c.name for c in bulk.model.constraints]
+                    == [c.name for c in other.model.constraints])
+            assert bulk.leaves == other.leaves
+            for attr in ("leaf_job", "leaf_indicator", "leaf_is_nck",
+                         "leaf_ptr", "leaf_pcol", "leaf_pid"):
+                assert np.array_equal(getattr(bulk, attr),
+                                      getattr(other, attr))

@@ -120,3 +120,36 @@ class TestLpExport:
         text = m.to_lp_string()
         assert "P_nCk_1_p0_" in text
         assert "[" not in text.split("\n", 1)[1]
+
+
+class TestDrainedNodesAreNeverHandedOut:
+    """An *idle* drained node offers no supply — and must not be picked.
+
+    The supply rows always knew (``availability_profile`` zeroes drained
+    nodes), but the plan accumulator used to seed occupancy from running
+    jobs only, so node picking saw an idle drained node as free and the
+    sorted-name choice handed out ``r0n0`` first.
+    """
+
+    @pytest.mark.parametrize("overrides", [
+        {},                              # global MILP
+        {"global_scheduling": False},    # greedy (-NG)
+        {"audit_mode": True},            # global, oracles on
+    ], ids=["global", "greedy", "audited"])
+    def test_launch_avoids_idle_drained_node(self, overrides):
+        from repro.api import Scheduler
+        from repro.valuefn import best_effort_value
+
+        config = TetriSchedConfig.partial(rel_gap=1e-6, **overrides)
+        with Scheduler.open("1x4", config) as api:
+            api.state.drain("r0n0")
+            api.submit(JobRequest(
+                job_id="gang",
+                options=(SpaceOption(api.cluster.node_names, k=3,
+                                     duration_s=8.0),),
+                value_fn=best_effort_value(release_time=0.0),
+                priority=PriorityClass.BEST_EFFORT, submit_time=0.0))
+            result = api.run_cycle()
+        assert [a.job_id for a in result.allocations] == ["gang"]
+        assert result.allocations[0].nodes == frozenset(
+            {"r0n1", "r0n2", "r0n3"})

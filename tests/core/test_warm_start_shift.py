@@ -13,6 +13,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import JobRequest, PriorityClass, TetriSched, TetriSchedConfig
 from repro.core.compiler import StrlCompiler
+from repro.solver import scipy_available
 from repro.strl import SpaceOption
 from repro.valuefn import StepValue
 
@@ -68,7 +69,7 @@ class TestTimeShift:
         x = sched._build_warm_start(compiled, now=10.0)
         assert x is not None
         chosen = [rec for rec in compiled.leaf_records
-                  if x[rec.indicator.index] > 0.5]
+                  if x[rec.indicator] > 0.5]
         assert len(chosen) == 1
         assert chosen[0].job_id == "b"
         assert chosen[0].leaf.start == prev_start - 1
@@ -83,7 +84,7 @@ class TestTimeShift:
         x = sched._build_warm_start(compiled, now=20.0)
         assert x is not None
         chosen = [rec for rec in compiled.leaf_records
-                  if x[rec.indicator.index] > 0.5]
+                  if x[rec.indicator] > 0.5]
         assert chosen[0].leaf.start == prev_start - 2
 
     def test_stale_placement_dropped_when_shifted_past_now(self):
@@ -112,8 +113,36 @@ class TestTimeShift:
         if x is not None:  # a surviving seed must still be feasible
             assert compiled.model.check_feasible(x)
             chosen = [rec for rec in compiled.leaf_records
-                      if x[rec.indicator.index] > 0.5]
+                      if x[rec.indicator] > 0.5]
             assert not chosen
+
+
+class TestBackendDeclaresWarmStartUse:
+    """A shifted plan is built only for a backend that reads it."""
+
+    def two_cycles(self, backend, monkeypatch):
+        cluster = make_cluster()
+        sched = TetriSched(cluster, config(backend=backend))
+        built = []
+        build = sched._build_warm_start
+        monkeypatch.setattr(
+            sched, "_build_warm_start",
+            lambda compiled, now: built.append(now) or build(compiled, now))
+        sched.submit(whole_cluster_request(cluster, "a", value=1000.0))
+        sched.submit(whole_cluster_request(cluster, "b", value=999.0))
+        stats = [sched.run_cycle(now).stats for now in (0.0, 10.0)]
+        return [st.warm_start_attempted for st in stats], built
+
+    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
+    def test_scipy_backed_cycle_builds_no_warm_start(self, monkeypatch):
+        attempted, built = self.two_cycles("scipy", monkeypatch)
+        assert attempted == [False, False]
+        assert built == []
+
+    def test_pure_backed_cycle_still_builds_one(self, monkeypatch):
+        attempted, built = self.two_cycles("pure", monkeypatch)
+        assert attempted == [True, True]
+        assert built == [0.0, 10.0]
 
 
 class TestCacheAcrossSupplyChanges:

@@ -89,11 +89,17 @@ class TestSolveCommand:
 
 
 class TestProfileCommand:
-    def test_profile_emits_schema_valid_jsonl_and_summary(self, tmp_path,
-                                                          capsys):
+    # The default backend (HiGHS when scipy is installed) declares that it
+    # ignores warm starts, so none is built and no hit rate is reported;
+    # the pure backend takes them.
+    @pytest.mark.parametrize("backend_args", [[], ["--backend", "pure"]],
+                             ids=["default", "pure"])
+    def test_profile_emits_schema_valid_jsonl_and_summary(
+            self, tmp_path, capsys, backend_args):
         out = tmp_path / "profile.jsonl"
         rc = main(["profile", "--workload", "GS HET", "--cluster", "2x4:1",
-                   "--jobs", "8", "--plan-ahead", "40", "--out", str(out)])
+                   "--jobs", "8", "--plan-ahead", "40", "--out", str(out),
+                   *backend_args])
         assert rc == 0
         # Every emitted event must satisfy the envelope schema.
         from repro.obs import iter_kinds, read_jsonl_file
@@ -107,7 +113,8 @@ class TestProfileCommand:
         assert "MILP solves" in text
         assert "Phase timings" in text
         assert "cycle/solve" in text
-        assert "warm-start hit rate" in text
+        if backend_args:
+            assert "warm-start hit rate" in text
 
     def test_profile_leaves_observability_disabled(self, tmp_path):
         from repro.obs import get_registry

@@ -68,7 +68,7 @@ class TestCleanAudit:
 class TestTamperDetection:
     def _first_active_record(self, compiled, x):
         for rec in compiled.leaf_records:
-            if x[rec.indicator.index] > 0.5:
+            if x[rec.indicator] > 0.5:
                 return rec
         pytest.fail("no active leaf in the solution")
 
@@ -78,9 +78,9 @@ class TestTamperDetection:
         state, exprs, compiled, res = solved_instance()
         x = res.x.copy()
         for rec in compiled.leaf_records:
-            if x[rec.indicator.index] <= 0.5:
-                pid, var = next(iter(rec.partition_vars.items()))
-                x[var.index] += len(
+            if x[rec.indicator] <= 0.5:
+                pid, col = next(iter(rec.partition_cols.items()))
+                x[col] += len(
                     compiled.partitioning.partitions[pid].nodes) + 1
                 break
         else:
@@ -97,9 +97,9 @@ class TestTamperDetection:
         state, exprs, compiled, res = solved_instance()
         x = res.x.copy()
         rec = self._first_active_record(compiled, x)
-        for var in rec.partition_vars.values():
-            if x[var.index] >= 1.0:
-                x[var.index] -= 1.0
+        for col in rec.partition_cols.values():
+            if x[col] >= 1.0:
+                x[col] -= 1.0
                 break
         bad = dataclasses.replace(res, x=x)
         report = audit_cycle(state, compiled, bad, exprs, quantum_s=10.0)
