@@ -195,6 +195,8 @@ class CompiledBatch:
     preemption_columns: dict[str, int] = field(default_factory=dict)
     #: Elastic extension: running jobs whose width the solver may re-plan.
     resize_candidates: dict[str, ResizeCandidate] = field(default_factory=dict)
+    #: Every job's fragment is flat (see :attr:`JobFragment.flat`).
+    flat: bool = False
     _records: list[LeafRecord] | None = None
 
     def job_of(self, leaf: int) -> str:
@@ -320,6 +322,99 @@ class CompiledBatch:
         return {job_id for job_id, col in self.job_columns.items()
                 if x[col] > 0.5}
 
+    def book_directly(self) -> tuple[np.ndarray | None,
+                                     tuple[str, int, int] | None]:
+        """The cycle MILP's optimum without a solver, when nothing contends.
+
+        A flat job (:attr:`JobFragment.flat`) switches on at most one leaf,
+        and the supply rows only ever remove options, so job ``j`` is worth
+        at most ``U_j``, the best value among its leaves that fit the
+        cycle's supply on their own, and the MILP at most ``sum_j U_j``.
+        This books such a leaf for one job after another on what the
+        earlier bookings left of the ``partition x quantum`` supply.  If
+        every job gets one, the booked point attains the bound: it *is* an
+        optimum, returned as ``(x, None)``.  The first job whose ``U_j``
+        leaves no longer fit ends the attempt with ``(None, (job id,
+        partition, quantum))``, naming the supply cell where earlier
+        bookings took the most from under its best leaf — the cycle is
+        contended and goes to the solver.  ``(None, None)`` when the bound
+        does not hold: a job that is not flat, or preemption / resize
+        credits that add supply.
+
+        Equality, not a gap, decides: a job is never moved to a cheaper
+        leaf to make the others fit.
+        """
+        if not self.flat or self.preemption_columns or self.resize_candidates:
+            return None, None
+        leaves, ptr = self.leaves, self.leaf_ptr
+        ub = self.model.to_sparse_arrays().ub
+        supply = np.zeros((len(self.partitioning.partitions), self.horizon))
+        for pid, profile in self.availability.items():
+            supply[pid] = profile
+        left = supply.copy()
+        #: Leaf-table entries per partition — how much of the batch can use
+        #: it — and the same summed over each leaf's partitions.
+        wanted = np.bincount(self.leaf_pid, minlength=supply.shape[0])
+        crowd = np.add.reduceat(wanted[self.leaf_pid], ptr[:-1])
+        first = np.searchsorted(
+            self.leaf_job, np.arange(len(self.job_order) + 1)).tolist()
+
+        def by_preference(j: int) -> list[int]:
+            """Job ``j``'s leaves, best value first; among equals, the one
+            whose partitions the rest of the batch can use least."""
+            lo, hi = first[j], first[j + 1]
+            keys = list(zip([-leaf.value for leaf in leaves[lo:hi]],
+                            crowd[lo:hi].tolist()))
+            return [lo + i for i in sorted(range(hi - lo),
+                                           key=keys.__getitem__)]
+
+        def cells(grid: np.ndarray, i: int) -> np.ndarray:
+            """Leaf ``i``'s footprint on ``grid``: its partitions x quanta."""
+            start = leaves[i].start
+            return grid[self.leaf_pid[ptr[i]:ptr[i + 1]],
+                        start:start + leaves[i].duration]
+
+        def room(grid: np.ndarray, i: int) -> np.ndarray:
+            """Nodes leaf ``i`` can take from each of its partitions."""
+            return np.minimum(ub[self.leaf_pcol[ptr[i]:ptr[i + 1]]],
+                              cells(grid, i).min(axis=1))
+
+        x = np.zeros(self.model.num_variables)
+        for j, job_id in enumerate(self.job_order):
+            lost = None  # best leaf that fits the supply but not what is left
+            for i in by_preference(j):
+                leaf = leaves[i]
+                if leaf.value <= 0.0 or (lost is not None
+                                         and leaf.value < leaves[lost].value):
+                    break
+                free = room(left, i)
+                if free.sum() < leaf.k:
+                    if lost is None and room(supply, i).sum() >= leaf.k:
+                        lost = i
+                    continue
+                # Draw from the partitions the rest of the batch can use
+                # least first, so a wide leaf does not empty the only
+                # partition a narrower one can live in.
+                pids = self.leaf_pid[ptr[i]:ptr[i + 1]]
+                need = leaf.k
+                for e in np.argsort(wanted[pids], kind="stable").tolist():
+                    take = min(need, free[e])
+                    if take > 0:
+                        x[self.leaf_pcol[ptr[i] + e]] = take
+                        left[pids[e],
+                             leaf.start:leaf.start + leaf.duration] -= take
+                        need -= take
+                x[self.leaf_indicator[i]] = 1.0
+                x[self.job_columns[job_id]] = 1.0
+                lost = None
+                break
+            if lost is not None:
+                taken = cells(supply, lost) - cells(left, lost)
+                row, quantum = np.unravel_index(np.argmax(taken), taken.shape)
+                return None, (job_id, int(self.leaf_pid[ptr[lost] + row]),
+                              leaves[lost].start + int(quantum))
+        return x, None
+
     def jobs_by_component(self, decomp) -> list[list[str]]:
         """Job ids whose indicator landed in each decomposition block.
 
@@ -383,6 +478,10 @@ class JobFragment:
     leaf_parts: list[int] = field(default_factory=list)
     leaf_pcol: list[int] = field(default_factory=list)
     leaf_pid: list[int] = field(default_factory=list)
+    #: The root is an ``nCk`` or a ``max`` of ``nCk``: the job switches on at
+    #: most one leaf and is worth exactly that leaf's value, which is what
+    #: :meth:`CompiledBatch.book_directly`'s bound rests on.
+    flat: bool = False
     _fingerprint: str | None = None
 
     @property
@@ -706,7 +805,8 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
         leaf_pid=packed.leaf_pid,
         availability=availability, stats=model.stats(),
         preemption_columns=preemption_columns,
-        resize_candidates={cand.job_id: cand for cand in active_resizes})
+        resize_candidates={cand.job_id: cand for cand in active_resizes},
+        flat=all(frag.flat for frag in fragments))
 
 
 def _merge(acc: dict[int, float], terms: dict[int, float]) -> dict[int, float]:
@@ -839,6 +939,8 @@ class StrlCompiler:
         self._counter = 0
         self._column(1.0, _BINARY, 0)
         frag.objective = self._gen(expr, 0)
+        frag.flat = type(expr) is NCk or (
+            type(expr) is Max and set(map(type, expr.subexprs)) == {NCk})
         del self._frag
         return frag
 

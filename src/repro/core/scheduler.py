@@ -480,7 +480,8 @@ class SolveTelemetry:
 
     def absorb(self, res) -> None:
         """Fold one :class:`~repro.solver.result.MILPResult` in."""
-        self.solves += 1
+        # A directly booked cycle has a result but invoked no solver.
+        self.solves += 1 - int(res.stats.get("direct_booking", 0))
         self.solver_nodes += res.nodes
         self.lp_iterations += int(res.stats.get("lp_iterations", 0))
         self.lp_dual_pivots += int(res.stats.get("lp_dual_pivots", 0))

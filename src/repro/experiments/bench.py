@@ -50,8 +50,10 @@ from typing import Any
 
 from repro.api import Scheduler
 from repro.cluster.cluster import Cluster
+from repro.core.compiler import StrlCompiler
 from repro.core.queues import PriorityClass
-from repro.core.scheduler import JobRequest, TetriSchedConfig
+from repro.core.scheduler import (JobRequest, SolveTelemetry,
+                                  TetriSchedConfig)
 from repro.solver.backend import make_backend
 from repro.solver.branch_bound import BranchBoundOptions, BranchBoundSolver
 from repro.solver.options import SolveOptions
@@ -499,8 +501,7 @@ def _lp_pass(backend_name: str, lp_engine: str | None, racks: int,
             rel_gap=_REL_TOL, lp_engine=lp_engine, arrays="sparse"))
     objectives: list[float] = []
     solve_s = 0.0
-    iters = factorizations = ft_updates = pricing = 0
-    fill = 0.0
+    tel = SolveTelemetry()
     t0 = time.monotonic()
     for c in range(cycles):
         now = c * quantum_s
@@ -510,23 +511,27 @@ def _lp_pass(backend_name: str, lp_engine: str | None, racks: int,
                 job_id=f"c{c}-{job.job_id}", options=job.options,
                 value_fn=job.value_fn, priority=job.priority,
                 submit_time=now))
-        stats = sched.run_cycle(now).stats
-        objectives.append(stats.objective)
-        solve_s += stats.stage_timings.get("solve", 0.0)
-        iters += stats.lp_iterations
-        factorizations += stats.lp_factorizations
-        ft_updates += stats.lp_ft_updates
-        pricing += stats.lp_pricing_candidates
-        fill = max(fill, stats.lp_fill_ratio)
+        # The arm under test is the LP engine, so the cycle's MILP goes to
+        # the backend itself: nothing contends in these half-rack batches
+        # and the cycle would book them without solving a single LP.
+        compiled = StrlCompiler(sched.state, quantum_s, now).compile(
+            [(job_id, sched._generate(req, now))
+             for job_id, req in sched.queues.items()])
+        t1 = time.monotonic()
+        res = sched._backend.solve(compiled.model)
+        solve_s += time.monotonic() - t1
+        objectives.append(res.objective)
+        tel.absorb(res)
+        sched.run_cycle(now)  # launch: the next cycle meets a busy cluster
     return {
         "objectives": objectives,
         "wall_s": time.monotonic() - t0,
         "solve_s": solve_s,
-        "lp_iterations": iters,
-        "factorizations": factorizations,
-        "ft_updates": ft_updates,
-        "pricing_candidates": pricing,
-        "fill_ratio": fill,
+        "lp_iterations": tel.lp_iterations,
+        "factorizations": tel.lp_factorizations,
+        "ft_updates": tel.lp_ft_updates,
+        "pricing_candidates": tel.lp_pricing_candidates,
+        "fill_ratio": tel.lp_fill_ratio,
     }
 
 

@@ -68,6 +68,9 @@ _HEADLINE_COUNTERS = (
     ("scheduler.delta.full_rebuilds", "delta full rebuilds"),
 )
 
+#: Counters a line of their own reports (kept out of "Other counters").
+_DERIVED_COUNTERS = ("scheduler.solve_cycles", "scheduler.direct_booked")
+
 
 def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
     """Human-readable summary: headline counters, phases, other counters."""
@@ -87,6 +90,11 @@ def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
     if rows:
         blocks += ["", "Solver / scheduler work",
                    format_table(["counter", "value"], rows)]
+    if "scheduler.solve_cycles" in profile.counters:
+        blocks += ["", "directly booked "
+                   f"{profile.counter('scheduler.direct_booked'):.0f} of "
+                   f"{profile.counter('scheduler.solve_cycles'):.0f} cycles "
+                   "(no solver invocation: every job got its best option)"]
 
     # Basis-factorization / pricing economics of the revised simplex:
     # how far each factorization is stretched by Forrest-Tomlin updates,
@@ -120,7 +128,7 @@ def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
                    format_table(["span", "count", "total ms", "mean ms",
                                  "max ms"], timer_rows)]
 
-    shown = {name for name, _ in _HEADLINE_COUNTERS}
+    shown = {name for name, _ in _HEADLINE_COUNTERS} | set(_DERIVED_COUNTERS)
     other = sorted(set(profile.counters) - shown)
     if other:
         blocks += ["", "Other counters",

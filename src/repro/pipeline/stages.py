@@ -21,9 +21,15 @@ from repro.core.allocation import PlanAccumulator
 from repro.core.compiler import StrlCompiler
 from repro.solver.decompose import decompose, solve_decomposed
 from repro.solver.options import SolveOptions
+from repro.solver.result import MILPResult, SolveStatus
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+    from repro.core.compiler import CompiledBatch
+    from repro.core.scheduler import TetriSched
     from repro.pipeline.context import CycleContext
+    from repro.solver.decompose import Decomposition
 
 
 class StageName(str, enum.Enum):
@@ -171,15 +177,58 @@ class Decompose:
                  free=int(ctx.decomposition.free_indices.size))
 
 
+def solve_batch(sched: "TetriSched", compiled: "CompiledBatch",
+                decomp: "Decomposition | None",
+                warm_start: "np.ndarray | None") -> MILPResult:
+    """One cycle MILP's result: booked directly, or from the backend.
+
+    An uncontended batch never reaches the backend: when every job can
+    have its own best option at once,
+    :meth:`~repro.core.compiler.CompiledBatch.book_directly` returns that
+    point and it is the proven optimum (``gap = 0``, no solver invocation,
+    ``stats["direct_booking"]``); every later stage reads it exactly as it
+    reads a solver's result.  Anything else is solved — per component when
+    ``decomp`` splits the model.  The per-call
+    :class:`~repro.solver.options.SolveOptions` carries the cycle warm
+    start plus the scheduler's worker-pool and component-cache
+    configuration (``solver_workers`` / ``component_cache``).
+    """
+    x, miss = compiled.book_directly()
+    if x is not None:
+        obs.count("scheduler.direct_booking.booked")
+        objective = compiled.model.objective_value(x)
+        return MILPResult(SolveStatus.OPTIMAL, x, objective, bound=objective,
+                          gap=0.0, stats={"direct_booking": 1})
+    if miss is not None:
+        job_id, pid, quantum = miss
+        obs.emit("scheduler.direct_booking.miss", job=job_id, partition=pid,
+                 quantum=quantum)
+    config = sched.config
+    if decomp is not None and (decomp.num_components > 1
+                               or decomp.free_indices.size):
+        # Column groups are expressed in the monolithic model's column
+        # space; component sub-models renumber columns, so decomposed
+        # repair solves run per-component LP + dive without colgen.
+        return solve_decomposed(
+            decomp, sched._backend,
+            options=SolveOptions(warm_start=warm_start,
+                                 workers=config.solver_workers,
+                                 component_cache=sched._component_cache))
+    groups = None
+    if config.solve_mode != "exact":
+        groups = tuple(compiled.lazy_column_groups())
+    return sched._backend.solve(
+        compiled.model,
+        options=SolveOptions(warm_start=warm_start, column_groups=groups))
+
+
 class Solve:
-    """Solve the cycle MILP — per component when decomposed.
+    """Solve the cycle MILP (:func:`solve_batch`).
 
     A decomposed solve is still *one* logical solver invocation in the
     cycle telemetry (Fig. 12's solver-work tables compare global vs
-    greedy solve counts; decomposition must not inflate them).  The
-    per-call :class:`~repro.solver.options.SolveOptions` carries the
-    cycle warm start plus the scheduler's worker-pool and component-cache
-    configuration (``solver_workers`` / ``component_cache``).
+    greedy solve counts; decomposition must not inflate them), and a
+    directly booked cycle is none.
     """
 
     name = StageName.SOLVE
@@ -188,27 +237,9 @@ class Solve:
         sched = ctx.scheduler
         tel = ctx.telemetry
         assert ctx.compiled is not None
-        decomp = ctx.decomposition
         t0 = time.monotonic()
-        if decomp is not None and (decomp.num_components > 1
-                                   or decomp.free_indices.size):
-            # Column groups are expressed in the monolithic model's column
-            # space; component sub-models renumber columns, so decomposed
-            # repair solves run per-component LP + dive without colgen.
-            res = solve_decomposed(
-                decomp, sched._backend,
-                options=SolveOptions(
-                    warm_start=ctx.warm_start,
-                    workers=ctx.config.solver_workers,
-                    component_cache=sched._component_cache))
-        else:
-            groups = None
-            if ctx.config.solve_mode != "exact":
-                groups = tuple(ctx.compiled.lazy_column_groups())
-            res = sched._backend.solve(
-                ctx.compiled.model,
-                options=SolveOptions(warm_start=ctx.warm_start,
-                                     column_groups=groups))
+        res = solve_batch(sched, ctx.compiled, ctx.decomposition,
+                          ctx.warm_start)
         tel.solver_latency_s += time.monotonic() - t0
         tel.absorb(res)
         if not res.status.has_solution:

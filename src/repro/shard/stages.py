@@ -14,9 +14,10 @@ Two invariants the stages are written around:
   whole-cluster domain restricts nothing (assignment preserves queue
   order, option intersection is the identity), compiles through the same
   :class:`~repro.core.delta.DeltaCompiler` / ``StrlCompiler`` path against
-  the same state, warm-starts from the same shifted plan, and replicates
-  the monolithic Solve stage's branch structure exactly — so the solved
-  ``x``, the launch decisions, and the halting behavior coincide.
+  the same state, warm-starts from the same shifted plan, and gets its
+  result from the monolithic Solve stage's own
+  :func:`~repro.pipeline.stages.solve_batch` — so the solved ``x``, the
+  launch decisions, and the halting behavior coincide.
 * **Domains are node-disjoint**, so per-domain models draw from disjoint
   supply and the union of their solutions is feasible globally; the
   shared :class:`~repro.core.allocation.PlanAccumulator` that all domains
@@ -34,9 +35,8 @@ from repro import obs
 from repro.core.allocation import PlanAccumulator
 from repro.core.compiler import StrlCompiler
 from repro.errors import SchedulerError
-from repro.pipeline.stages import StageName
-from repro.solver.decompose import (decompose, solve_decomposed,
-                                    solve_many_decomposed)
+from repro.pipeline.stages import StageName, solve_batch
+from repro.solver.decompose import decompose, solve_many_decomposed
 from repro.solver.options import SolveOptions
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -120,11 +120,12 @@ class DomainModelBuild:
 class DomainSolve:
     """Solve every domain MILP — all domains in one pooled dispatch.
 
-    With a single active domain the monolithic Solve stage's branch
-    structure is replicated exactly (including the halt on an unsolved
-    cycle), which is the solve half of the ``shard_count=1`` bit-equality
-    guarantee.  With several domains, each domain model is decomposed into
-    its connected components and *all* components across *all* domains go
+    With a single active domain the monolithic Solve stage is replicated
+    exactly (the same :func:`~repro.pipeline.stages.solve_batch`, the same
+    halt on an unsolved cycle), which is the solve half of the
+    ``shard_count=1`` bit-equality guarantee.  With several domains, each
+    domain model is decomposed into its connected components and *all*
+    components across *all* domains go
     to :func:`~repro.solver.decompose.solve_many_decomposed` as one
     worker-pool batch; a domain whose solve produces no solution (e.g. a
     timeout under a tight budget) is marked for the greedy per-job
@@ -194,7 +195,7 @@ class DomainSolve:
         sh.results[did] = res
 
     def _solve_single(self, ctx: "CycleContext", did: int) -> None:
-        """The monolithic Solve branch, verbatim, on the one domain."""
+        """The monolithic Solve stage, on the one domain."""
         sched = ctx.scheduler
         sh = ctx.shard
         tel = ctx.telemetry
@@ -203,22 +204,7 @@ class DomainSolve:
             else None
         ctx.components = max(1, decomp.num_components) if decomp else 1
         t0 = time.monotonic()
-        if decomp is not None and (decomp.num_components > 1
-                                   or decomp.free_indices.size):
-            res = solve_decomposed(
-                decomp, sched._backend,
-                options=SolveOptions(
-                    warm_start=sh.warm.get(did),
-                    workers=ctx.config.solver_workers,
-                    component_cache=sched._component_cache))
-        else:
-            groups = None
-            if ctx.config.solve_mode != "exact":
-                groups = tuple(compiled.lazy_column_groups())
-            res = sched._backend.solve(
-                compiled.model,
-                options=SolveOptions(warm_start=sh.warm.get(did),
-                                     column_groups=groups))
+        res = solve_batch(sched, compiled, decomp, sh.warm.get(did))
         sh.solve_s[did] = time.monotonic() - t0
         tel.solver_latency_s += sh.solve_s[did]
         tel.absorb(res)

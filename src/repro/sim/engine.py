@@ -361,6 +361,11 @@ class Simulation:
             profile.bump("scheduler.elastic.shrunk", stats.elastic_shrunk)
             for stage, seconds in stats.stage_timings.items():
                 profile.bump(f"scheduler.stage_s.{stage}", seconds)
+            if stats.components:
+                # A cycle MILP answered without a solver was booked directly.
+                profile.bump("scheduler.solve_cycles")
+                profile.bump("scheduler.direct_booked",
+                             0.0 if stats.solves else 1.0)
         launched = len(decisions.allocations) - len(decisions.resized)
         profile.bump("scheduler.launched", launched)
         profile.bump("scheduler.resized", len(decisions.resized))

@@ -161,10 +161,16 @@ class ScipyMILPSolver:
         x[sa.integrality] = np.round(x[sa.integrality])
         obj = sa.obj_sign * float(sa.c @ x) + sa.obj_constant
         gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
+        # HiGHS's dual bound is on ``c @ x``; the model's sense and constant
+        # apply to it as they do to the objective.  (A solve that stopped
+        # inside ``rel_gap`` has ``bound != objective``.)
+        dual = getattr(res, "mip_dual_bound", None)
+        bound = (sa.obj_sign * float(dual) + sa.obj_constant
+                 if dual is not None and math.isfinite(dual) else obj)
         status = SolveStatus.OPTIMAL if res.status == 0 else SolveStatus.FEASIBLE
         nodes = int(getattr(res, "mip_node_count", 0) or 0)
         obs.emit("solver.solve", status=status.value, objective=obj, gap=gap,
                  nodes=nodes, time_ms=1000.0 * solve_time)
         return MILPResult(status=status, x=x, objective=obj,
-                          bound=obj, gap=gap, nodes=nodes,
+                          bound=bound, gap=gap, nodes=nodes,
                           solve_time=solve_time)

@@ -38,11 +38,13 @@ def make_sched(backend=None):
         quantum_s=10, cycle_s=10, plan_ahead_s=40))
     if backend is not None:
         sched._backend = backend
-    request = JobRequest(
-        "j", (SpaceOption(cluster.node_names, 2, 20.0),),
-        StepValue(1000.0, 200.0), PriorityClass.SLO_ACCEPTED, 0.0,
-        deadline=200.0)
-    sched.submit(request)
+    # Two gangs of three on four nodes: both want to start now, so the
+    # cycle is contended and the backend (not direct booking) decides it.
+    for job_id in ("j", "k"):
+        sched.submit(JobRequest(
+            job_id, (SpaceOption(cluster.node_names, 3, 20.0),),
+            StepValue(1000.0, 200.0), PriorityClass.SLO_ACCEPTED, 0.0,
+            deadline=200.0))
     return sched
 
 
@@ -51,14 +53,14 @@ class TestSolverFailures:
         sched = make_sched(_NoSolutionBackend())
         result = sched.run_cycle(0.0)
         assert result.allocations == []
-        assert sched.pending_count == 1  # job not lost
+        assert sched.pending_count == 2  # jobs not lost
 
     def test_crashing_backend_propagates_cleanly(self):
         sched = make_sched(_CrashingBackend())
         with pytest.raises(SolverError):
             sched.run_cycle(0.0)
         # State untouched: nothing launched, queue intact.
-        assert sched.pending_count == 1
+        assert sched.pending_count == 2
         assert not sched.state.running_jobs
 
     def test_zero_time_budget_pure_solver(self):

@@ -92,13 +92,23 @@ class TestStageName:
 
 def test_cycle_records_stage_timings_and_components():
     sched = make_sched()
-    submit_rack_pinned(sched)
+    # Three gangs of two per four-node rack: contended, so the solver runs.
+    submit_rack_pinned(sched, jobs_per_rack=3)
     stats = sched.run_cycle(0.0).stats
     assert set(stats.stage_timings) == set(GLOBAL_STAGES)
     assert all(t >= 0.0 for t in stats.stage_timings.values())
     assert stats.components == 3  # one block per rack
     assert stats.milp_nonzeros > 0
     assert stats.solves == 1  # a decomposed solve is one logical solve
+
+
+def test_uncontended_cycle_is_booked_without_a_solver_invocation():
+    sched = make_sched()
+    submit_rack_pinned(sched)  # two gangs of two per rack: all fit at once
+    stats = sched.run_cycle(0.0).stats
+    assert set(stats.stage_timings) == set(GLOBAL_STAGES)
+    assert stats.solves == 0 and stats.solver_nodes == 0
+    assert stats.launched == 6 and stats.objective > 0.0
 
 
 def test_empty_queue_halts_after_generate():
@@ -113,7 +123,7 @@ def test_decomposed_matches_monolithic_objective():
     results = {}
     for decomposition in (True, False):
         sched = make_sched(decomposition=decomposition)
-        submit_rack_pinned(sched)
+        submit_rack_pinned(sched, jobs_per_rack=3)
         launched = set()
         objectives = []
         for c in range(3):
