@@ -13,7 +13,10 @@ The compiler walks the aggregated STRL expression with a single recursive
 3. **Partition variables** — leaves create one integer variable per cluster
    partition (not per node!), with *demand* constraints tying them to the
    indicator and *supply* constraints capping total use per partition per
-   time slice (added once at the end over the ``used(x, t)`` ledger).
+   time slice (added once at the end over the ``used(x, t)`` ledger).  An
+   ``nCk`` leaf with its own indicator and a single partition is the
+   time-indexed column itself: ``P == k * I`` is substituted away and the
+   indicator enters the supply rows with coefficient ``k``.
 
 Compilation is independent of any solver backend; the result carries enough
 bookkeeping to map a MILP solution back to per-job space-time allocations.
@@ -76,13 +79,14 @@ class LeafRecord:
     job_id: str
     leaf: NCk | LnCk
     indicator: int                  # model column of I
-    partition_cols: dict[int, int]  # pid -> model column of P_x
+    partition_cols: dict[int, int]  # pid -> model column drawing on it
+    coef: float = 1.0               # nodes drawn per unit of such a column
 
     def chosen_counts(self, x: np.ndarray) -> dict[int, int]:
         """Per-partition node counts selected by the solution (empty if none)."""
         if isinstance(self.leaf, NCk) and x[self.indicator] < 0.5:
             return {}
-        counts = {pid: int(round(float(x[col])))
+        counts = {pid: int(round(float(x[col]) * self.coef))
                   for pid, col in self.partition_cols.items()}
         return {pid: v for pid, v in counts.items() if v > 0}
 
@@ -169,9 +173,12 @@ class CompiledBatch:
 
     The decode metadata is a flat *leaf table*: leaf ``i`` of the batch is
     ``leaves[i]``, belongs to job ``job_order[leaf_job[i]]``, is switched
-    by column ``leaf_indicator[i]`` and owns the partition-variable entries
-    ``leaf_ptr[i]:leaf_ptr[i+1]`` of ``leaf_pcol`` (model column) and
-    ``leaf_pid`` (partition id), in ascending partition order.
+    by column ``leaf_indicator[i]`` and owns the entries
+    ``leaf_ptr[i]:leaf_ptr[i+1]``, in ascending partition order: entry ``e``
+    draws ``leaf_coef[e] * x[leaf_pcol[e]]`` nodes from partition
+    ``leaf_pid[e]`` — a partition variable with coefficient 1, or the
+    leaf's own indicator with coefficient ``k`` where ``P == k * I`` was
+    substituted (:meth:`StrlCompiler._leaves`).
     """
 
     model: Model
@@ -187,6 +194,7 @@ class CompiledBatch:
     leaf_ptr: np.ndarray
     leaf_pcol: np.ndarray
     leaf_pid: np.ndarray
+    leaf_coef: np.ndarray
     #: ``avail(x, t)`` of every partition some leaf draws on: pid -> the
     #: free-node count per quantum the supply rows were written against.
     availability: dict[int, np.ndarray] = field(default_factory=dict)
@@ -198,6 +206,7 @@ class CompiledBatch:
     #: Every job's fragment is flat (see :attr:`JobFragment.flat`).
     flat: bool = False
     _records: list[LeafRecord] | None = None
+    _booking: tuple | None = None
 
     def job_of(self, leaf: int) -> str:
         """Job id owning row ``leaf`` of the leaf table."""
@@ -207,12 +216,14 @@ class CompiledBatch:
     def leaf_records(self) -> list[LeafRecord]:
         """The leaf table as :class:`LeafRecord` objects (built once)."""
         if self._records is None:
-            ptr, pcol, pid = (self.leaf_ptr.tolist(), self.leaf_pcol.tolist(),
-                              self.leaf_pid.tolist())
+            ptr, pcol, pid, coef = (
+                self.leaf_ptr.tolist(), self.leaf_pcol.tolist(),
+                self.leaf_pid.tolist(), self.leaf_coef.tolist())
             self._records = [
                 LeafRecord(self.job_order[job], leaf, ind,
                            dict(zip(pid[ptr[i]:ptr[i + 1]],
-                                    pcol[ptr[i]:ptr[i + 1]])))
+                                    pcol[ptr[i]:ptr[i + 1]])),
+                           coef[ptr[i]])
                 for i, (leaf, job, ind) in enumerate(zip(
                     self.leaves, self.leaf_job.tolist(),
                     self.leaf_indicator.tolist()))]
@@ -283,13 +294,13 @@ class CompiledBatch:
     def active_leaves(self, x: np.ndarray) -> list[tuple[int, dict[int, int]]]:
         """``(leaf index, {pid: node count})`` of every leaf the solution uses.
 
-        One gather over the partition-variable columns: an entry counts
-        when it rounds to a positive node count and — for an ``nCk`` leaf —
-        the leaf's indicator is on.  Leaves come out in table order, counts
-        in ascending partition order.
+        One gather over the leaf table's columns: an entry counts when it
+        rounds to a positive node count and — for an ``nCk`` leaf — the
+        leaf's indicator is on.  Leaves come out in table order, counts in
+        ascending partition order.
         """
         x = np.asarray(x, dtype=float)
-        counts = np.rint(x[self.leaf_pcol]).astype(np.int64)
+        counts = np.rint(x[self.leaf_pcol] * self.leaf_coef).astype(np.int64)
         live = ~self.leaf_is_nck | (x[self.leaf_indicator] >= 0.5)
         entry_leaf = np.repeat(np.arange(len(self.leaves)),
                                np.diff(self.leaf_ptr))
@@ -342,8 +353,14 @@ class CompiledBatch:
         credits that add supply.
 
         Equality, not a gap, decides: a job is never moved to a cheaper
-        leaf to make the others fit.
+        leaf to make the others fit.  The batch remembers the attempt, so
+        every stage that asks shares one.
         """
+        if self._booking is None:
+            self._booking = self._book()
+        return self._booking
+
+    def _book(self) -> tuple[np.ndarray | None, tuple[str, int, int] | None]:
         if not self.flat or self.preemption_columns or self.resize_candidates:
             return None, None
         leaves, ptr = self.leaves, self.leaf_ptr
@@ -376,8 +393,10 @@ class CompiledBatch:
 
         def room(grid: np.ndarray, i: int) -> np.ndarray:
             """Nodes leaf ``i`` can take from each of its partitions."""
-            return np.minimum(ub[self.leaf_pcol[ptr[i]:ptr[i + 1]]],
-                              cells(grid, i).min(axis=1))
+            entries = slice(ptr[i], ptr[i + 1])
+            return np.minimum(
+                ub[self.leaf_pcol[entries]] * self.leaf_coef[entries],
+                cells(grid, i).min(axis=1))
 
         x = np.zeros(self.model.num_variables)
         for j, job_id in enumerate(self.job_order):
@@ -400,7 +419,8 @@ class CompiledBatch:
                 for e in np.argsort(wanted[pids], kind="stable").tolist():
                     take = min(need, free[e])
                     if take > 0:
-                        x[self.leaf_pcol[ptr[i] + e]] = take
+                        x[self.leaf_pcol[ptr[i] + e]] = (
+                            take / self.leaf_coef[ptr[i] + e])
                         left[pids[e],
                              leaf.start:leaf.start + leaf.duration] -= take
                         need -= take
@@ -465,11 +485,12 @@ class JobFragment:
     row_coefs: list[float] = field(default_factory=list)
     #: Objective contribution, local column -> coefficient (maximize sense).
     objective: dict[int, float] = field(default_factory=dict)
-    #: Leaf table.  ``leaf_pcol`` / ``leaf_pid`` hold each leaf's
-    #: ``leaf_parts[i]`` partition variables back to back; together with
+    #: Leaf table.  ``leaf_pcol`` / ``leaf_pid`` / ``leaf_coef`` hold each
+    #: leaf's ``leaf_parts[i]`` entries back to back; together with
     #: ``leaf_start`` / ``leaf_duration`` they *are* the used ledger:
-    #: entry ``e`` draws on partition ``leaf_pid[e]`` through column
-    #: ``leaf_pcol[e]`` for every quantum of its leaf's interval.
+    #: entry ``e`` draws ``leaf_coef[e]`` nodes per unit of column
+    #: ``leaf_pcol[e]`` on partition ``leaf_pid[e]`` for every quantum of
+    #: its leaf's interval.
     leaves: list[NCk | LnCk] = field(default_factory=list)
     leaf_indicator: list[int] = field(default_factory=list)
     leaf_is_nck: list[bool] = field(default_factory=list)
@@ -478,6 +499,7 @@ class JobFragment:
     leaf_parts: list[int] = field(default_factory=list)
     leaf_pcol: list[int] = field(default_factory=list)
     leaf_pid: list[int] = field(default_factory=list)
+    leaf_coef: list[float] = field(default_factory=list)
     #: The root is an ``nCk`` or a ``max`` of ``nCk``: the job switches on at
     #: most one leaf and is worth exactly that leaf's value, which is what
     #: :meth:`CompiledBatch.book_directly`'s bound rests on.
@@ -515,12 +537,14 @@ class JobFragment:
                  for dom, n in zip(self.col_domain, self.col_counter)]
         names[0] = f"I[{job}]"
         entry = 0
-        for is_nck, parts in zip(self.leaf_is_nck, self.leaf_parts):
+        for is_nck, parts, ind in zip(self.leaf_is_nck, self.leaf_parts,
+                                      self.leaf_indicator):
             kind = "nCk" if is_nck else "LnCk"
             for e in range(entry, entry + parts):
                 col = self.leaf_pcol[e]
-                names[col] = (f"P[{kind}[{job}]#{self.col_counter[col]},"
-                              f"p{self.leaf_pid[e]}]")
+                if col != ind:  # a partition variable, not a substituted I
+                    names[col] = (f"P[{kind}[{job}]#{self.col_counter[col]},"
+                                  f"p{self.leaf_pid[e]}]")
             entry += parts
         return names
 
@@ -570,6 +594,7 @@ class _Packed:
         self.leaf_parts = _concat(fragments, "leaf_parts", np.int64)
         self.leaf_pcol = self.shifted("leaf_pcol")
         self.leaf_pid = _concat(fragments, "leaf_pid", np.int64)
+        self.leaf_coef = _concat(fragments, "leaf_coef", float)
 
     def shifted(self, attr: str) -> np.ndarray:
         """A local-column buffer of every fragment, in cycle columns."""
@@ -651,9 +676,10 @@ def _supply_rows(packed: _Packed, partitioning: Partitioning, horizon: int,
                             dict[int, np.ndarray]]:
     """``sum of P in used(x, t) <= avail(x, t)`` for every used ``(x, t)``.
 
-    The used ledger is the leaf table: each (leaf, partition) entry is
-    expanded over the leaf's interval and the expansion is stably sorted
-    by ``(partition, t)``.  Rows therefore come out in ascending
+    The used ledger is the leaf table: each (leaf, partition) entry, a
+    ``coef * column`` draw (see :class:`CompiledBatch`), is expanded over
+    the leaf's interval and the expansion is stably sorted by
+    ``(partition, t)``.  Rows therefore come out in ascending
     ``(pid, t)`` order with coefficients in registration order (job order,
     then leaf order, then partition order), followed by the supply
     credits of ``candidates`` in candidate order.  Returns the rows as
@@ -669,7 +695,7 @@ def _supply_rows(packed: _Packed, partitioning: Partitioning, horizon: int,
     t = np.arange(source.shape[0]) - first[source] + entry_start[source]
     keys = packed.leaf_pid[source] * horizon + t
     cols = packed.leaf_pcol[source]
-    coefs = np.ones(cols.shape[0])
+    coefs = packed.leaf_coef[source]
     if candidates:
         f_keys, f_cols, f_coefs = _freed_entries(
             candidates, partitioning, state, horizon, quantum_s, now)
@@ -802,7 +828,7 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
                         + np.repeat(packed.offsets[:-1], leaf_counts)),
         leaf_is_nck=_concat(fragments, "leaf_is_nck", bool),
         leaf_ptr=leaf_ptr, leaf_pcol=packed.leaf_pcol,
-        leaf_pid=packed.leaf_pid,
+        leaf_pid=packed.leaf_pid, leaf_coef=packed.leaf_coef,
         availability=availability, stats=model.stats(),
         preemption_columns=preemption_columns,
         resize_candidates={cand.job_id: cand for cand in active_resizes},
@@ -978,7 +1004,9 @@ class StrlCompiler:
         return parts
 
     def _leaves(self, run: tuple[NCk | LnCk, ...],
-                indicator: int | None = None) -> tuple[list[int], list[int]]:
+                indicator: int | None = None,
+                bounds: list[list[float]] | None = None,
+                ) -> tuple[list[int], list[int]]:
         """Emit leaves of one type drawing the same ``k`` from the same
         equivalence set; returns their (indicator, partition) columns.
 
@@ -988,7 +1016,16 @@ class StrlCompiler:
         also its ledger entries.  With ``indicator=None`` (the children of
         a choice) every leaf also gets a fresh binary indicator column in
         front of its partition variables; otherwise the leaves hang under
-        the given column.
+        the given column.  ``bounds`` are the partition variables' upper
+        bounds, per partition and leaf, where the caller already has them.
+
+        An ``nCk`` leaf with its own indicator that draws on one partition
+        satisfies ``P == k * I`` identically: it gets neither ``P`` nor the
+        row, and its one ledger entry is ``k`` nodes per unit of ``I`` (the
+        time-indexed column).  Where an interval cap leaves fewer than
+        ``k`` nodes, ``P <= bound < k`` and the row stay, and force
+        ``I = 0``.  A leaf under a given indicator keeps ``P`` too: that
+        column may switch other leaves or carry a supply credit.
 
         The leaves differ only in start, duration and value, so all of
         them are the same column block and the same row shape: the
@@ -1000,11 +1037,27 @@ class StrlCompiler:
         pids, capacities, node_sets = self._parts_of(run[0].nodes)
         r, m, k = len(run), len(pids), run[0].k
         own = indicator is None
-        stride = m + own
+        if bounds is None and self._interval_cap is None:
+            bounds = [[float(min(k, cap))] * r for cap in capacities]
+        elif bounds is None:
+            bounds = [[float(min(k, cap, self._interval_cap(
+                nodes, leaf.start, leaf.duration))) for leaf in run]
+                for cap, nodes in zip(capacities, node_sets)]
+        identity = own and is_nck and m == 1
+        fits = [identity and bound >= k for bound in bounds[0]]
+        if any(fits) and not all(fits):  # an interval cap split the run
+            singles = [self._leaves((leaf,), None, [bounds[0][j:j + 1]])
+                       for j, leaf in enumerate(run)]
+            return tuple(list(chain.from_iterable(cols))
+                         for cols in zip(*singles))
+        substitute = fits[0]
+        mp = 0 if substitute else m  # partition variables per leaf
+        stride = mp + own
         col0 = len(frag.col_ub)
         cols = range(col0, col0 + stride * r)
         indicators = list(cols[::stride]) if own else [indicator] * r
-        pcols = [c for c in cols if (c - col0) % stride >= own]
+        pcols = (indicators if substitute else
+                 [c for c in cols if (c - col0) % stride >= own])
 
         # Leaf j takes one counter for its indicator (if any), one for itself.
         step, ctr0 = own + 1, self._counter
@@ -1015,31 +1068,27 @@ class StrlCompiler:
         counters = [0] * (stride * r)
         if own:
             counters[::stride] = range(ctr0 + 1, ctr0 + step * r, step)
-        for q in range(m):
-            if self._interval_cap is None:
-                bound = [float(min(k, capacities[q]))] * r
-            else:
-                bound = [float(min(k, capacities[q], self._interval_cap(
-                    node_sets[q], leaf.start, leaf.duration)))
-                    for leaf in run]
-            ub[q + own::stride] = bound
+        for q in range(mp):
+            ub[q + own::stride] = bounds[q]
             domain[q + own::stride] = [_INTEGER] * r
             counters[q + own::stride] = leaf_ctrs
         frag.col_ub.extend(ub)
         frag.col_domain.extend(domain)
         frag.col_counter.extend(counters)
 
-        # Demand rows, partition variables first.
-        demand = [0] * ((m + 1) * r)
-        for q in range(m):
-            demand[q::m + 1] = cols[q + own::stride]
-        demand[m::m + 1] = indicators
-        frag.row_len.extend([m + 1] * r)
-        frag.row_is_eq.extend([is_nck] * r)
-        frag.row_kind.extend([_DEMAND_NCK if is_nck else _DEMAND_LNCK] * r)
-        frag.row_counter.extend(leaf_ctrs)
-        frag.row_cols.extend(demand)
-        frag.row_coefs.extend(([1.0] * m + [-float(k)]) * r)
+        if mp:
+            # Demand rows, partition variables first.
+            demand = [0] * ((m + 1) * r)
+            for q in range(m):
+                demand[q::m + 1] = cols[q + own::stride]
+            demand[m::m + 1] = indicators
+            frag.row_len.extend([m + 1] * r)
+            frag.row_is_eq.extend([is_nck] * r)
+            frag.row_kind.extend(
+                [_DEMAND_NCK if is_nck else _DEMAND_LNCK] * r)
+            frag.row_counter.extend(leaf_ctrs)
+            frag.row_cols.extend(demand)
+            frag.row_coefs.extend(([1.0] * m + [-float(k)]) * r)
 
         frag.leaves.extend(run)
         frag.leaf_indicator.extend(indicators)
@@ -1049,6 +1098,7 @@ class StrlCompiler:
         frag.leaf_parts.extend([m] * r)
         frag.leaf_pcol.extend(pcols)
         frag.leaf_pid.extend(pids * r)
+        frag.leaf_coef.extend([float(k) if substitute else 1.0] * (m * r))
         return indicators, pcols
 
     # -- Algorithm 1's gen(expr, I) -----------------------------------------

@@ -1107,23 +1107,25 @@ class TetriSched:
             # Greedily refill the leaf's demand from its partitions
             # (the leaf table lists them in ascending partition order).
             entries = range(compiled.leaf_ptr[i], compiled.leaf_ptr[i + 1])
-            plan: list[tuple[int, int, int]] = []
+            plan: list[tuple[int, int]] = []  # (entry, nodes taken)
             needed = leaf.k
             span = slice(new_start, new_start + leaf.duration)
             for e in entries:
                 if needed == 0:
                     break
-                pid, col = int(compiled.leaf_pid[e]), int(compiled.leaf_pcol[e])
-                take = min(needed, int(remaining[pid][span].min()),
-                           int(upper[col]))
+                # Entry e draws leaf_coef[e] nodes per unit of its column.
+                take = min(needed,
+                           int(remaining[compiled.leaf_pid[e]][span].min()),
+                           int(upper[compiled.leaf_pcol[e]]
+                               * compiled.leaf_coef[e]))
                 if take > 0:
-                    plan.append((pid, col, take))
+                    plan.append((e, take))
                     needed -= take
             if needed > 0:
                 continue  # no longer fits; drop from warm start
-            for pid, col, take in plan:
-                x[col] = take
-                remaining[pid][span] -= take
+            for e, take in plan:
+                x[compiled.leaf_pcol[e]] = take / compiled.leaf_coef[e]
+                remaining[compiled.leaf_pid[e]][span] -= take
             x[compiled.leaf_indicator[i]] = 1.0
             x[compiled.job_columns[job_id]] = 1.0
             used_any = True

@@ -166,7 +166,10 @@ class Decompose:
 
     def run(self, ctx: "CycleContext") -> None:
         assert ctx.compiled is not None
-        if not ctx.config.decomposition:
+        # A cycle that books directly (solve_batch reuses the attempt) never
+        # reaches a solver: one block, nothing to split.
+        if (not ctx.config.decomposition
+                or ctx.compiled.book_directly()[0] is not None):
             ctx.components = 1
             return
         ctx.decomposition = decompose(ctx.compiled.model)

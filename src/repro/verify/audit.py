@@ -183,7 +183,7 @@ class _StrlEvaluator:
         indicator_on = self._x[rec.indicator] > 0.5
         counts: dict[int, int] = {}
         for pid, col in rec.partition_cols.items():
-            v = int(round(float(self._x[col])))
+            v = int(round(float(self._x[col]) * rec.coef))
             if v < 0:
                 self._violations.append(Violation(
                     "audit.negative-count",

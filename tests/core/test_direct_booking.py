@@ -79,7 +79,7 @@ def _bound(compiled: CompiledBatch) -> float:
     best: dict[str, float] = {}
     for rec in compiled.leaf_records:
         leaf = rec.leaf
-        room = sum(min(ub[col], compiled.availability[pid][
+        room = sum(min(ub[col] * rec.coef, compiled.availability[pid][
             leaf.start:leaf.start + leaf.duration].min())
             for pid, col in rec.partition_cols.items())
         if room >= leaf.k:

@@ -20,10 +20,19 @@ holds the export digest and the variable/constraint names of seeded random
 batches that use every combinator (``min``, ``sum``, ``scale``,
 ``barrier``, ``LnCk``), busy and drained nodes, preemption candidates and
 the per-node partitioning ablation.
-Re-record (only when a change *means* to alter the emitted models or the
-pure solver's tie-breaking) with::
 
-    PYTHONPATH=src python tests/core/test_golden_export.py
+The fixture was last re-recorded when the compiler started substituting
+``P == k * I`` for single-partition ``nCk`` leaves, which changes every
+emitted model.  Its ``pre_substitution`` key keeps the digests of the commit
+before that, and the same runs and batches compiled with
+:func:`tests.core.expansion.pre_substitution` — every substituted ``P``
+column and demand row written back — must still reproduce them: the
+substitution is the *only* thing that changed in what the compiler emits.
+
+Re-record (only when a change *means* to alter the emitted models or the
+pure solver's tie-breaking; ``pre_substitution`` is carried over) with::
+
+    PYTHONPATH=src python -m tests.core.test_golden_export
 """
 
 import hashlib
@@ -43,6 +52,7 @@ from repro.solver.parallel import fingerprint_arrays
 from repro.strl import (Barrier, ElasticNCk, LnCk, Max, Min, NCk, Scale,
                         Sum)
 from repro.workloads import COMPOSITIONS
+from tests.core.expansion import pre_substitution
 
 FIXTURE = Path(__file__).with_name("golden_exports.json")
 
@@ -171,6 +181,22 @@ def test_every_cycle_export_matches_golden(name):
         assert have == want, f"{name}: cycle {cycle} export diverged"
 
 
+def test_expanded_batches_match_the_digests_before_substitution():
+    golden = json.loads(FIXTURE.read_text())["pre_substitution"]["strl-fuzz"]
+    with pre_substitution():
+        assert strl_fuzz_digests() == golden
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_expanded_runs_match_the_digests_before_substitution(name):
+    # Whole trajectories, not just cycle 0: with the old models back the
+    # pure backend takes the old decisions, so every later cycle compiles
+    # the old inputs — decoded through the same leaf table throughout.
+    golden = json.loads(FIXTURE.read_text())["pre_substitution"][name]
+    with pre_substitution():
+        assert cycle_digests(RUNS[name]) == golden
+
+
 def test_golden_runs_cover_preemption_and_resize():
     """The elastic run's fixture exercises both supply-credit mechanisms."""
     golden = json.loads(FIXTURE.read_text())["elastic-preempt"]
@@ -181,5 +207,7 @@ def test_golden_runs_cover_preemption_and_resize():
 if __name__ == "__main__":
     recorded = {name: cycle_digests(spec) for name, spec in RUNS.items()}
     recorded["strl-fuzz"] = strl_fuzz_digests()
+    recorded["pre_substitution"] = json.loads(
+        FIXTURE.read_text())["pre_substitution"]
     FIXTURE.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {FIXTURE}")

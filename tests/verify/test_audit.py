@@ -65,12 +65,17 @@ class TestCleanAudit:
         assert [v.kind for v in report.violations] == ["audit.missing-point"]
 
 
+def _has_partition_variables(rec) -> bool:
+    """Not a leaf whose ``P == k * I`` the compiler substituted away."""
+    return rec.indicator not in rec.partition_cols.values()
+
+
 class TestTamperDetection:
     def _first_active_record(self, compiled, x):
         for rec in compiled.leaf_records:
-            if x[rec.indicator] > 0.5:
+            if x[rec.indicator] > 0.5 and _has_partition_variables(rec):
                 return rec
-        pytest.fail("no active leaf in the solution")
+        pytest.fail("no active leaf with partition variables in the solution")
 
     def test_bumped_partition_count_detected(self):
         # Give an inactive leaf phantom nodes: shape and capacity both
@@ -78,7 +83,7 @@ class TestTamperDetection:
         state, exprs, compiled, res = solved_instance()
         x = res.x.copy()
         for rec in compiled.leaf_records:
-            if x[rec.indicator] <= 0.5:
+            if x[rec.indicator] <= 0.5 and _has_partition_variables(rec):
                 pid, col = next(iter(rec.partition_cols.items()))
                 x[col] += len(
                     compiled.partitioning.partitions[pid].nodes) + 1
@@ -106,6 +111,24 @@ class TestTamperDetection:
         kinds = {v.kind for v in report.violations}
         assert kinds & {"audit.nck-shape", "audit.objective-phantom",
                         "audit.lnck-shape"}
+
+    def test_substituted_leaf_switched_on_over_supply_detected(self):
+        # A time-indexed leaf has no P to tamper with: its indicator *is*
+        # its draw of k nodes.  Switch a second option of job b on beside
+        # the chosen one and the auditor sees both the double choice and
+        # the nodes it takes.
+        state, exprs, compiled, res = solved_instance()
+        x = res.x.copy()
+        extra = [rec for rec in compiled.leaf_records
+                 if x[rec.indicator] <= 0.5
+                 and not _has_partition_variables(rec)]
+        assert extra, "instance has no substituted leaf left to switch on"
+        for rec in extra:
+            x[rec.indicator] = 1.0
+        bad = dataclasses.replace(res, x=x)
+        report = audit_cycle(state, compiled, bad, exprs, quantum_s=10.0)
+        kinds = {v.kind for v in report.violations}
+        assert {"audit.capacity", "audit.max-choice"} <= kinds
 
     def test_objective_lie_detected(self):
         state, exprs, compiled, res = solved_instance()
