@@ -301,6 +301,7 @@ def _cmd_workload(args) -> int:
 def _cmd_profile(args) -> int:
     from repro import obs
     from repro.experiments.report import format_profile
+    from repro.solver.scipy_backend import highs_build
     spec = RunSpec(scheduler=args.scheduler,
                    composition=COMPOSITIONS[args.workload],
                    cluster=args.cluster, num_jobs=args.jobs, seed=args.seed,
@@ -319,6 +320,8 @@ def _cmd_profile(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
     sink.dump(out)
     print(f"[{len(sink)} events -> {out}]")
+    highs = highs_build()
+    print(f"[HiGHS {highs['version']}, direct hand-over: {highs['direct']}]")
     print(result)
     print()
     print(format_profile(

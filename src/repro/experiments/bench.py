@@ -59,6 +59,7 @@ from repro.solver.branch_bound import BranchBoundOptions, BranchBoundSolver
 from repro.solver.options import SolveOptions
 from repro.solver.parallel import ComponentCache
 from repro.solver.repair import RepairSolver
+from repro.solver.scipy_backend import highs_build
 from repro.strl.generator import SpaceOption
 from repro.valuefn import StepValue
 
@@ -622,7 +623,8 @@ def bench_cycle(backend: str = "pure", plan_ahead_s: float = 96.0,
         "meta": {"backend": backend, "plan_ahead_s": plan_ahead_s,
                  "racks": racks, "nodes_per_rack": nodes_per_rack,
                  "jobs_per_rack": jobs_per_rack, "cycles": cycles,
-                 "quantum_s": quantum_s, "seed": seed, "workers": workers},
+                 "quantum_s": quantum_s, "seed": seed, "workers": workers,
+                 "highs": highs_build()},
         "modes": {},
     }
     per_mode_objectives: dict[str, list[float]] = {}

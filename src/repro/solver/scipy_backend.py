@@ -28,10 +28,101 @@ except ImportError:  # pragma: no cover
     _sciopt = None
     HAVE_SCIPY = False
 
+try:  # pragma: no cover - environment-dependent
+    # The highspy binding scipy >= 1.15 ships (private: CI asserts it loads).
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # pragma: no cover
+    _highs = None
+
 
 def scipy_available() -> bool:
     """True when scipy's HiGHS solvers can be used."""
     return HAVE_SCIPY
+
+
+def highs_build() -> dict:
+    """HiGHS version and hand-over path, for run metadata.
+
+    Schedules are a function of the HiGHS build: which of several optima
+    inside ``rel_gap`` comes back is the solver's choice, not the model's.
+    """
+    if _highs is None:
+        return {"version": None, "direct": False}
+    return {"version": _highs._Highs().version(), "direct": True}
+
+
+def _run_highs(sa, rel_gap: float, time_limit: float | None):
+    """Solve a sparse export on HiGHS itself, without ``scipy.optimize.milp``.
+
+    The CSR rows go in as they are (``a_ub`` then ``a_eq``, row-wise), which
+    skips the wrapper's CSR->CSC conversion and its per-column Python loops
+    over bound marginals no MILP caller reads.  Returns what ``milp`` would:
+    its status code, ``x`` (``None`` without a solution) and the MIP fields.
+    """
+    n, n_ub = sa.c.size, sa.b_ub.size
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_ub + sa.b_eq.size
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.concatenate(
+        [sa.a_ub.indptr, sa.a_eq.indptr[1:] + sa.a_ub.nnz])
+    # (Lists cross the binding about twice as fast as arrays.)
+    lp.a_matrix_.index_ = np.concatenate(
+        [sa.a_ub.indices, sa.a_eq.indices]).tolist()
+    lp.a_matrix_.value_ = np.concatenate(
+        [sa.a_ub.data, sa.a_eq.data]).tolist()
+    lp.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), sa.b_eq])
+    lp.row_upper_ = np.concatenate([sa.b_ub, sa.b_eq])
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = sa.c, sa.lb, sa.ub
+    kinds = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
+    lp.integrality_ = [kinds[i] for i in sa.integrality.tolist()]
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("mip_rel_gap", float(rel_gap))
+    if time_limit is not None:
+        highs.setOptionValue("time_limit", float(time_limit))
+    # The feasibility-jump pass is a quarter to a third of a contended call
+    # and its point is never the incumbent (measured: same ``x`` without
+    # it).  A HiGHS too old to know the option rejects it: nothing to skip.
+    highs.setOptionValue("mip_heuristic_run_feasibility_jump", False)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return _sciopt.OptimizeResult(status=2, x=None)
+    highs.run()
+    ms, info = _highs.HighsModelStatus, highs.getInfo()
+    res = _sciopt.OptimizeResult(x=None, status={
+        ms.kOptimal: 0, ms.kTimeLimit: 1, ms.kIterationLimit: 1,
+        ms.kModelError: 2, ms.kInfeasible: 2, ms.kUnbounded: 3,
+    }.get(highs.getModelStatus(), 4))
+    # As the wrapper reads it: an LP has a solution only when optimal, a
+    # MIP also at a limit when an incumbent was found.
+    is_mip = bool(sa.integrality.any())
+    if res.status == 0 or (res.status == 1 and is_mip and
+                           info.objective_function_value != _highs.kHighsInf):
+        res.x = np.array(highs.getSolution().col_value)
+        if is_mip:
+            res.update(mip_dual_bound=info.mip_dual_bound,
+                       mip_gap=info.mip_gap,
+                       mip_node_count=info.mip_node_count)
+    return res
+
+
+def _run_milp(sa, a_ub, a_eq, rel_gap: float, time_limit: float | None):
+    """The same solve through ``scipy.optimize.milp`` (HiGHS's defaults)."""
+    constraints = []
+    if sa.b_ub.size:
+        constraints.append(_sciopt.LinearConstraint(a_ub, -np.inf, sa.b_ub))
+    if sa.b_eq.size:
+        constraints.append(_sciopt.LinearConstraint(a_eq, sa.b_eq, sa.b_eq))
+    milp_options = {"mip_rel_gap": rel_gap, "presolve": True}
+    if time_limit is not None:
+        milp_options["time_limit"] = time_limit
+    return _sciopt.milp(
+        c=sa.c,
+        constraints=constraints or None,
+        integrality=sa.integrality.astype(int),
+        bounds=_sciopt.Bounds(sa.lb, sa.ub),
+        options=milp_options)
 
 
 def solve_lp_scipy(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
@@ -85,10 +176,13 @@ def solve_lp_scipy(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
 
 
 class ScipyMILPSolver:
-    """Full-MILP backend using ``scipy.optimize.milp`` (HiGHS branch & cut).
+    """Full-MILP backend on scipy's HiGHS (branch & cut).
 
     Mirrors :class:`~repro.solver.branch_bound.BranchBoundSolver.solve`'s
-    interface so the scheduler can swap backends freely.
+    interface so the scheduler can swap backends freely.  The model goes to
+    HiGHS through the binding scipy ships (:func:`_run_highs`); through
+    ``scipy.optimize.milp`` only where that binding is missing (scipy <
+    1.15) or the dense reference is asked for.
 
     Parameters
     ----------
@@ -98,13 +192,14 @@ class ScipyMILPSolver:
     time_limit:
         Wall-clock limit in seconds, or ``None``.
     use_sparse:
-        Feed HiGHS ``scipy.sparse`` constraint matrices built from the
-        model's CSR export (the default); ``False`` keeps the dense
-        ``to_standard_arrays`` path as a cross-check oracle.
+        Feed HiGHS the model's CSR export (the default); ``False`` keeps
+        the dense ``to_standard_arrays`` export through ``milp`` as a
+        cross-check oracle.
     """
 
-    #: ``scipy.optimize.milp`` has no incumbent hook: a ``warm_start`` in
-    #: the options is accepted and ignored, so callers need not build one.
+    #: HiGHS is handed no incumbent (it could stop on one inside
+    #: ``rel_gap``, which changes the schedule): a ``warm_start`` in the
+    #: options is accepted and ignored, so callers need not build one.
     consumes_warm_start = False
 
     def __init__(self, rel_gap: float = 1e-6,
@@ -118,35 +213,21 @@ class ScipyMILPSolver:
 
     def solve(self, model: Model,
               options: SolveOptions | None = None) -> MILPResult:
-        # scipy.optimize.milp has no warm-start hook; a warm start in the
-        # options is accepted for interface compatibility and ignored.
+        t0 = time.monotonic()
         rel_gap = options.get("rel_gap", self.rel_gap) \
             if options is not None else self.rel_gap
         time_limit = options.get("time_limit", self.time_limit) \
             if options is not None else self.time_limit
-        if self.use_sparse:
-            sa = model.to_sparse_arrays()
-            a_ub, a_eq = sa.a_ub.to_scipy(), sa.a_eq.to_scipy()
-        else:
+        if not self.use_sparse:  # the differential tests' dense reference
             sa = model.to_standard_arrays()
-            a_ub, a_eq = sa.a_ub, sa.a_eq
-        t0 = time.monotonic()
-        constraints = []
-        if sa.b_ub.size:
-            constraints.append(_sciopt.LinearConstraint(
-                a_ub, -np.inf, sa.b_ub))
-        if sa.b_eq.size:
-            constraints.append(_sciopt.LinearConstraint(
-                a_eq, sa.b_eq, sa.b_eq))
-        milp_options = {"mip_rel_gap": rel_gap, "presolve": True}
-        if time_limit is not None:
-            milp_options["time_limit"] = time_limit
-        res = _sciopt.milp(
-            c=sa.c,
-            constraints=constraints or None,
-            integrality=sa.integrality.astype(int),
-            bounds=_sciopt.Bounds(sa.lb, sa.ub),
-            options=milp_options)
+            res = _run_milp(sa, sa.a_ub, sa.a_eq, rel_gap, time_limit)
+        else:
+            sa = model.to_sparse_arrays()
+            if _highs is not None:
+                res = _run_highs(sa, rel_gap, time_limit)
+            else:  # scipy < 1.15 ships no binding
+                res = _run_milp(sa, sa.a_ub.to_scipy(), sa.a_eq.to_scipy(),
+                                rel_gap, time_limit)
         solve_time = time.monotonic() - t0
         if res.status == 2:
             return MILPResult(SolveStatus.INFEASIBLE, None, math.nan,

@@ -96,12 +96,13 @@ def generate_workload(composition: WorkloadComposition, cluster: Cluster,
     # -- sample job shapes first (sizes, runtimes, classes) ------------------
     drafts = []
     slo_target = composition.slo_fraction
+    already_slo = already_elastic = 0  # running counts over ``drafts``
     for i in range(config.num_jobs):
         # Deterministic class interleaving keeps the realized mix close to
         # the target even for small workloads.
-        already_slo = sum(1 for d in drafts if d["is_slo"])
         is_slo = (already_slo < slo_target * (i + 1) - 1e-9) or (
             slo_target >= 1.0)
+        already_slo += is_slo
         spec = composition.slo_class if is_slo else composition.be_class
         elastic = False
         if is_slo:
@@ -111,11 +112,11 @@ def generate_workload(composition: WorkloadComposition, cluster: Cluster,
             # Same deterministic interleave as the SLO mix: the realized
             # elastic share of BE jobs tracks the target even when few
             # BE jobs are drawn.
-            n_be = sum(1 for d in drafts if not d["is_slo"]) + 1
-            already = sum(1 for d in drafts if d["elastic"])
-            elastic = (already
+            n_be = i - already_slo + 1
+            elastic = (already_elastic
                        < config.elastic_fraction * n_be - 1e-9) or (
                 config.elastic_fraction >= 1.0)
+            already_elastic += elastic
         k = spec.gang_size.sample(rng)
         k = min(k, capacity if type_name != "mpi" else max_rack)
         runtime = spec.runtime_s.sample(rng)

@@ -110,6 +110,8 @@ class TestProfileCommand:
         # Summary table: solver work counters + phase timings + hit rate.
         text = capsys.readouterr().out
         assert f"events -> {out}" in text
+        # Schedules depend on the HiGHS build, so the run names it.
+        assert "[HiGHS " in text and "direct hand-over: " in text
         assert "MILP solves" in text
         assert "Phase timings" in text
         assert "cycle/solve" in text
