@@ -8,13 +8,10 @@ Paper shapes asserted:
   global policy at large plan-ahead windows.
 """
 
-import json
-
 import numpy as np
-from conftest import RESULTS_DIR, save_and_print
+from conftest import save_and_print
 
 from repro.experiments import fig12
-from repro.experiments.bench import bench_cycle, format_bench
 from repro.experiments.figures import PLAN_AHEADS_S
 
 
@@ -72,30 +69,3 @@ def test_fig12(benchmark, figure_cache):
         assert xs.size > 0
         assert np.all(np.diff(xs) >= 0)
         assert fracs[-1] == 1.0
-
-
-def test_bench_cycle(benchmark):
-    """Dense/sparse/decomposed pipeline comparison -> BENCH_cycle.json.
-
-    Fixed-seed, fig12-scale cycles at plan-ahead 96s.  The decomposed
-    sparse pipeline must reproduce the monolithic dense oracle's objective
-    exactly and split the rack-pinned workload into one block per rack.
-    """
-    report = benchmark.pedantic(
-        lambda: bench_cycle(backend="pure", plan_ahead_s=96.0),
-        rounds=1, iterations=1)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_cycle.json").write_text(
-        json.dumps(report, indent=2) + "\n")
-    print(format_bench(report))
-
-    assert report["objective_match"], \
-        f"objective mismatch: {report['max_objective_delta']}"
-    decomposed = report["modes"]["decomposed-sparse"]
-    assert all(c == report["meta"]["racks"] for c in decomposed["components"])
-    # Per-stage timings cover the whole staged pipeline.
-    assert {"generate", "compile", "model_build", "decompose", "solve",
-            "extract"} <= set(decomposed["stage_timings_s"])
-    # The headline claim: decomposition buys measurable cycle time at
-    # plan-ahead >= 96s (generous bound; measured ~3-4x with pure B&B).
-    assert report["speedup"]["decomposed_vs_dense"] > 1.2

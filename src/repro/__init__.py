@@ -21,7 +21,7 @@ EuroSys'16), including every substrate the paper depends on:
   (Table 1 compositions);
 * :mod:`repro.service` — long-lived asyncio scheduler service: HTTP/JSON
   API (submit, cancel, cluster events, graceful drain) over a
-  timer-driven cycle loop with cross-cycle delta compilation;
+  timer-driven cycle loop;
 * :mod:`repro.experiments` — one driver per paper table/figure;
 * :mod:`repro.verify` — independent schedule auditor, MILP certificate
   checker, and the differential fuzz harness (``python -m repro fuzz``).
@@ -42,9 +42,8 @@ Quickstart
 
 from repro.api import Scheduler
 from repro.cluster import Cluster, ClusterState, Node
-from repro.core import (Allocation, CycleDelta, DeltaDivergence, JobRequest,
-                        PriorityClass, StrlCompiler, TetriSched,
-                        TetriSchedConfig)
+from repro.core import (Allocation, JobRequest, PriorityClass, StrlCompiler,
+                        TetriSched, TetriSchedConfig)
 from repro.pipeline import (CyclePipeline, StageName, global_pipeline,
                             greedy_pipeline)
 from repro.reservation import RayonReservationSystem
@@ -67,14 +66,14 @@ __version__ = "1.0.0"
 __all__ = [
     "Allocation", "AuditReport", "AuditViolation", "Barrier",
     "CertificateReport", "Cluster", "ClusterState", "ComponentCache",
-    "CycleDelta", "CyclePipeline", "DeltaDivergence", "DomainCoordinator",
-    "DomainPartitioner", "GpuType", "Job", "JobRequest", "LnCk", "Max",
-    "Min", "Model", "MpiType", "NCk", "Node", "PriorityClass",
-    "RayonReservationSystem", "Scale", "Scheduler", "SchedulerService",
-    "SchedulingDomain", "ServiceAdapter", "ServiceServer", "Simulation",
-    "SimulationResult", "SolveOptions", "SolveStatus", "SpaceOption",
-    "StageName", "StrlCompiler", "Sum", "TetriSched", "TetriSchedAdapter",
-    "TetriSchedConfig", "UnconstrainedType", "audit_cycle", "audit_sharded",
-    "best_effort_value", "check_certificate", "global_pipeline",
-    "greedy_pipeline", "make_backend", "parse", "slo_value", "to_text",
+    "CyclePipeline", "DomainCoordinator", "DomainPartitioner", "GpuType",
+    "Job", "JobRequest", "LnCk", "Max", "Min", "Model", "MpiType", "NCk",
+    "Node", "PriorityClass", "RayonReservationSystem", "Scale", "Scheduler",
+    "SchedulerService", "SchedulingDomain", "ServiceAdapter", "ServiceServer",
+    "Simulation", "SimulationResult", "SolveOptions", "SolveStatus",
+    "SpaceOption", "StageName", "StrlCompiler", "Sum", "TetriSched",
+    "TetriSchedAdapter", "TetriSchedConfig", "UnconstrainedType",
+    "audit_cycle", "audit_sharded", "best_effort_value", "check_certificate",
+    "global_pipeline", "greedy_pipeline", "make_backend", "parse",
+    "slo_value", "to_text",
 ]

@@ -17,13 +17,6 @@ Commands
     enabled: emits the structured JSONL event stream and prints a summary
     table of per-phase cycle timings, solver work counters (B&B nodes, LP
     iterations, presolve reductions) and the warm-start hit rate.
-``bench-cycle``
-    Run fixed-seed scheduling cycles through the five pipeline
-    configurations (dense oracle / sparse / decomposed sequential /
-    decomposed parallel / decomposed cached), write ``BENCH_cycle.json``
-    with per-stage timings, component counts, worker-pool and
-    component-cache statistics, and exit nonzero if the configurations
-    disagree on the objective.
 ``serve``
     Run the long-lived asyncio scheduler service (:mod:`repro.service`)
     with its HTTP/JSON API: clients submit/cancel jobs and post cluster
@@ -137,39 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--plan-ahead", type=float, default=60.0)
     p_prof.add_argument("--quantum", type=float, default=10.0)
     p_prof.add_argument("--backend", default="auto")
-    p_prof.add_argument("--delta-mode", default="on",
-                        choices=["off", "on", "verify"],
-                        help="cross-cycle delta compilation (surfaces the "
-                             "fragment-reuse and patch-size counters)")
     p_prof.add_argument("--out", default="profile.jsonl",
                         help="JSONL event-stream output path")
-
-    p_bench = sub.add_parser(
-        "bench-cycle",
-        help="benchmark dense/sparse/decomposed/parallel/cached pipelines")
-    p_bench.add_argument("--backend", default="pure")
-    p_bench.add_argument("--plan-ahead", type=float, default=96.0)
-    p_bench.add_argument("--racks", type=int, default=4)
-    p_bench.add_argument("--nodes-per-rack", type=int, default=4)
-    p_bench.add_argument("--jobs-per-rack", type=int, default=2)
-    p_bench.add_argument("--cycles", type=int, default=2)
-    p_bench.add_argument("--quantum", type=float, default=8.0)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=2,
-                         help="worker processes for the parallel mode")
-    p_bench.add_argument("--out", default="results/BENCH_cycle.json",
-                         help="JSON report output path")
-    p_bench.add_argument("--shard-sizes", default=None,
-                         help="comma-separated cluster sizes for the "
-                              "sharded trace-replay bench (e.g. 256 or "
-                              "256,512,1024); adds a 'shard' section with "
-                              "per-size speedup/quality verdicts and the "
-                              "shard_count=1 bit-equality check")
-    p_bench.add_argument("--shard-cycles", type=int, default=3,
-                         help="cycles per sharded trace replay")
-    p_bench.add_argument("--shard-time-limit", type=float, default=2.0,
-                         help="per-solve time limit (seconds) for the "
-                              "monolithic baseline and the domain solves")
 
     p_serve = sub.add_parser(
         "serve",
@@ -184,10 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cycle", type=float, default=None,
                          help="scheduling-cycle period in wall seconds "
                               "(default: one quantum)")
-    p_serve.add_argument("--backend", default="pure")
-    p_serve.add_argument("--delta-mode", default="on",
-                         choices=["off", "on", "verify"],
-                         help="cross-cycle delta compilation mode")
+    p_serve.add_argument("--backend", default="auto")
     p_serve.add_argument("--shard-mode", default="off",
                          choices=["off", "racks", "auto"],
                          help="sharded multi-domain scheduling mode")
@@ -307,8 +266,7 @@ def _cmd_profile(args) -> int:
                    cluster=args.cluster, num_jobs=args.jobs, seed=args.seed,
                    target_utilization=args.util,
                    plan_ahead_s=args.plan_ahead, quantum_s=args.quantum,
-                   cycle_s=args.quantum, backend=args.backend,
-                   delta_mode=args.delta_mode)
+                   cycle_s=args.quantum, backend=args.backend)
     sink = obs.JsonlSink()
     obs.set_enabled(True, sink=sink)
     try:
@@ -328,71 +286,6 @@ def _cmd_profile(args) -> int:
         result.profile,
         title=f"Profile: {args.scheduler} / {args.workload} "
               f"({spec.cluster.size} nodes, {args.jobs} jobs)"))
-    return 0
-
-
-def _cmd_bench_cycle(args) -> int:
-    import json
-
-    from repro.experiments.bench import (bench_cycle, bench_shard,
-                                         format_bench, format_bench_elastic,
-                                         format_bench_shard)
-    report = bench_cycle(
-        backend=args.backend, plan_ahead_s=args.plan_ahead, racks=args.racks,
-        nodes_per_rack=args.nodes_per_rack, jobs_per_rack=args.jobs_per_rack,
-        cycles=args.cycles, quantum_s=args.quantum, seed=args.seed,
-        workers=args.workers)
-    if args.shard_sizes:
-        sizes = tuple(int(s) for s in args.shard_sizes.split(","))
-        report["shard"] = bench_shard(
-            sizes=sizes, backend=args.backend, seed=args.seed,
-            workers=args.workers, cycles=args.shard_cycles,
-            time_limit=args.shard_time_limit)
-    out = pathlib.Path(args.out)
-    if out.parent != pathlib.Path():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(format_bench(report))
-    print(format_bench_elastic(report["elastic"]))
-    if "shard" in report:
-        print(format_bench_shard(report["shard"]))
-    print(f"[report -> {out}]")
-    if not report["objective_match"]:
-        print("FAIL: pipeline configurations disagree on the objective",
-              file=sys.stderr)
-        return 1
-    delta = report.get("delta", {})
-    if not (delta.get("bit_equal") and delta.get("verify_ok")
-            and delta.get("churn_below_20pct")):
-        print("FAIL: delta compilation diverged from the full rebuild",
-              file=sys.stderr)
-        return 1
-    if not delta.get("speedup_ok"):
-        # Timing, not correctness: report loudly but do not hard-fail a
-        # loaded CI box on a wall-clock ratio.
-        print(f"WARN: delta compile+build speedup "
-              f"{delta.get('speedup_compile_build', 0.0):.2f}x below the "
-              f"3x target", file=sys.stderr)
-    elastic = report.get("elastic", {})
-    if not elastic.get("ok"):
-        print("FAIL: elastic width re-planning did not beat rigid "
-              "max-width gangs on utilization and value", file=sys.stderr)
-        return 1
-    shard = report.get("shard")
-    if shard is not None:
-        # Correctness verdicts hard-fail; the >=2x speedup is wall-clock
-        # and only warns (same policy as the delta speedup above).
-        if not shard["shard1_bit_equal"]:
-            print("FAIL: sharded pipeline at shard_count=1 diverged from "
-                  "the monolithic schedule", file=sys.stderr)
-            return 1
-        if not all(e["quality_ok"] for e in shard["sizes"]):
-            print("FAIL: sharded objective fell below the declared "
-                  "quality bound", file=sys.stderr)
-            return 1
-        if not all(e["speedup_ok"] for e in shard["sizes"]):
-            print("WARN: sharded cycle-time speedup below the 2x target",
-                  file=sys.stderr)
     return 0
 
 
@@ -474,8 +367,6 @@ def _serve_smoke(service, host: str, cycle_s: float) -> int:
                 f"smoke timeout: jobs never completed "
                 f"(status {status_payload})")
         check(status_payload["cycles_run"] > 0, "cycles ran")
-        if service.config.delta_mode != "off":
-            check(status_payload["delta"]["cycles"] > 0, "delta engaged")
 
         node = sorted(service.cluster.node_names)[0]
         check(call("POST", "/cluster/events",
@@ -507,8 +398,8 @@ def _cmd_serve(args) -> int:
     cfg = TetriSchedConfig(
         quantum_s=args.quantum, cycle_s=args.cycle or args.quantum,
         plan_ahead_s=args.plan_ahead, backend=args.backend,
-        delta_mode=args.delta_mode, shard_mode=args.shard_mode,
-        shard_count=args.shard_count, seed=args.seed)
+        shard_mode=args.shard_mode, shard_count=args.shard_count,
+        seed=args.seed)
     stats = pathlib.Path(args.stats) if args.stats else None
     service = SchedulerService(cluster, cfg, stats_path=stats)
     if args.smoke:
@@ -519,8 +410,7 @@ def _cmd_serve(args) -> int:
         server = await serve(service, host=args.host, port=args.port,
                              cycle_s=args.cycle)
         print(f"[service on http://{args.host}:{server.port} — "
-              f"{len(cluster)} nodes, delta_mode={cfg.delta_mode}; "
-              f"POST /drain to stop]")
+              f"{len(cluster)} nodes; POST /drain to stop]")
         await server.wait_drained()
 
     try:
@@ -581,8 +471,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_solve(args)
         if args.command == "profile":
             return _cmd_profile(args)
-        if args.command == "bench-cycle":
-            return _cmd_bench_cycle(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "fuzz":

@@ -30,9 +30,6 @@ column space; nothing builds a ``LinExpr``, a ``Variable`` or a
 column offsets, derives the cross-job supply rows by one grouped sort over
 the leaf table (which doubles as the ``used(x, t)`` ledger) and wraps the
 resulting CSR export in an array-backed :class:`~repro.solver.model.Model`.
-A fragment compiled in an earlier cycle can therefore be reused verbatim by
-:class:`repro.core.delta.DeltaCompiler` as long as its STRL expression and
-the cycle partitioning are unchanged.
 
 The export is pinned bit for bit — column order, within-row coefficient
 order, bounds, right-hand sides, signed zeros — by
@@ -456,19 +453,17 @@ class JobFragment:
     Flat buffers in a *local* column space (columns 0..n-1, column 0 always
     the job's top-level indicator), written once by Algorithm 1's walk and
     only ever concatenated afterwards, so the fragment can be placed at any
-    column offset of the assembled cycle model.  The fragment is valid as
-    long as its ``expr`` and the cycle
-    :class:`~repro.cluster.partitions.Partitioning` are unchanged: nothing
-    in it depends on cluster *availability* (supply right-hand sides are
-    rebuilt per cycle by :func:`assemble_batch`), only on partition
-    membership and capacity.
+    column offset of the assembled cycle model.  Nothing in it depends on
+    cluster *availability* (supply right-hand sides are added by
+    :func:`assemble_batch`), only on the cycle
+    :class:`~repro.cluster.partitions.Partitioning`'s membership and
+    capacity.
 
     Every column has lower bound 0; every row has right-hand side 0 and is
     either ``<=`` or ``==``.
     """
 
     job_id: str
-    expr: StrlNode
     #: Per column: upper bound (``inf`` = none), domain code, and the
     #: ``#n`` of its name (0 for the root indicator).
     col_ub: list[float] = field(default_factory=list)
@@ -504,7 +499,6 @@ class JobFragment:
     #: most one leaf and is worth exactly that leaf's value, which is what
     #: :meth:`CompiledBatch.book_directly`'s bound rests on.
     flat: bool = False
-    _fingerprint: str | None = None
 
     @property
     def num_variables(self) -> int:
@@ -519,15 +513,6 @@ class JobFragment:
         """Last time quantum touched by any leaf (exclusive end)."""
         return max((start + duration for start, duration
                     in zip(self.leaf_start, self.leaf_duration)), default=0)
-
-    @property
-    def fingerprint(self) -> str:
-        """SHA-256 of the fragment's own CSR export (computed on demand)."""
-        if self._fingerprint is None:
-            from repro.solver.parallel import fingerprint_arrays
-            self._fingerprint = fingerprint_arrays(
-                _Packed([self]).export()).exact
-        return self._fingerprint
 
     def column_names(self) -> list[str]:
         """Job-scoped (``nCk[job-3]#2``), so fragments never collide and
@@ -730,12 +715,6 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
                    resizable: list[ResizeCandidate] | None = None
                    ) -> CompiledBatch:
     """Assemble compiled job fragments into one cycle :class:`CompiledBatch`.
-
-    Both the from-scratch path (:meth:`StrlCompiler.compile`) and the
-    cross-cycle delta path (:class:`repro.core.delta.DeltaCompiler`) end
-    here, so the two produce bit-identical models by construction; the only
-    way they can diverge is a stale cached fragment, which is exactly what
-    ``delta_mode=verify`` checks for.
 
     Assembly is concatenation: fragment buffers land at their column
     offsets (:class:`_Packed`), and the part that depends on cluster
@@ -945,8 +924,7 @@ class StrlCompiler:
         Runs Algorithm 1's ``gen`` with the fragment's buffers as the
         output: every column, row, objective term and leaf-table entry is
         appended where it is generated.  Nothing here reads cluster
-        availability or ``now`` — fragments stay valid across cycles while
-        ``expr`` and ``partitioning`` are unchanged.
+        availability or ``now``.
         """
         if partitioning is not self._partitioning:
             self._partitioning = partitioning
@@ -958,7 +936,7 @@ class StrlCompiler:
         # Per-slice supply alone can overestimate capacity once tentative
         # reservations create non-prefix busy intervals.
         self._interval_cap = getattr(self.state, "interval_free_count", None)
-        frag = self._frag = JobFragment(job_id, expr)
+        frag = self._frag = JobFragment(job_id)
         # Job-scoped naming: the counter restarts per fragment and names
         # embed the job id, so names are unique across any batch and
         # *stable* across cycles no matter which jobs come and go.

@@ -179,16 +179,6 @@ class TetriSchedConfig:
     #: scheduled jobs to complete if their deadline has not passed",
     #: Sec. 7.1).  Attainment metrics always use the true deadline.
     deadline_grace_quanta: float = 1.0
-    #: Cross-cycle delta compilation (``off`` | ``on`` | ``verify``).  With
-    #: ``on``, the global pipeline keeps each job's compiled STRL fragment
-    #: across cycles and re-runs Algorithm 1 only for jobs whose expression
-    #: changed, patching the shared sparse model instead of reconstructing
-    #: it.  ``verify`` additionally runs the full recompile alongside every
-    #: cycle and raises :class:`~repro.core.delta.DeltaDivergence` unless
-    #: the two models are bit-identical.  Ignored by the greedy (-NG) path,
-    #: whose per-job models see tentative-reservation-capped availability
-    #: and are never cacheable.
-    delta_mode: str = "off"
     #: Run the :mod:`repro.verify` oracles on every global cycle: replay
     #: the solve through the MILP certificate checker and the space-time
     #: schedule auditor, raising
@@ -279,9 +269,6 @@ class TetriSchedConfig:
             fail(f"cycle_s must be positive, got {self.cycle_s!r}")
         if self.plan_ahead_s < 0:
             fail(f"plan_ahead_s must be >= 0, got {self.plan_ahead_s!r}")
-        if self.delta_mode not in ("off", "on", "verify"):
-            fail(f"delta_mode must be 'off', 'on' or 'verify', "
-                 f"got {self.delta_mode!r}")
         if self.solve_mode not in SOLVE_MODES:
             fail(f"solve_mode must be one of {SOLVE_MODES}, "
                  f"got {self.solve_mode!r}")
@@ -319,7 +306,7 @@ class TetriSchedConfig:
         if self.rel_gap < 0:
             fail(f"rel_gap must be >= 0, got {self.rel_gap!r}")
         # repair_gap_threshold < 0 is legal: it forces auto mode to
-        # escalate to exact search every cycle (the bench uses -1.0).
+        # escalate to exact search every cycle (the fuzz harness uses -1.0).
         if self.solver_workers < 0:
             fail(f"solver_workers must be >= 0, got {self.solver_workers!r}")
         return self
@@ -403,17 +390,6 @@ class CycleStats:
     cache_evictions: int = 0
     #: Jobs cancelled by :meth:`TetriSched.cancel` and drained this cycle.
     cancelled: int = 0
-    #: Delta-compilation accounting (``delta_mode != off``; zero otherwise).
-    #: ``jobs_dirty`` counts fragments recompiled this cycle (new arrivals
-    #: plus changed expressions), ``jobs_clean`` counts cached fragments
-    #: replayed verbatim; ``rows_patched`` / ``cols_patched`` are the model
-    #: rows/columns actually rewritten (recompiled fragments plus the
-    #: per-cycle supply rows and preemption columns).
-    jobs_dirty: int = 0
-    jobs_clean: int = 0
-    rows_patched: int = 0
-    cols_patched: int = 0
-    delta_full_rebuild: bool = False
     #: Sharded-cycle accounting (``shard_mode != off``; zeros otherwise).
     #: ``shard_domains`` counts domains that compiled a MILP this cycle,
     #: ``shard_boundary_jobs`` the cross-domain gangs reconciled by the
@@ -583,12 +559,6 @@ class TetriSched:
         # (congested?, fair-share width cap) — recomputed by run_cycle so
         # every _generate/_resize call in one cycle sees the same view.
         self._congestion: tuple[bool, int | None] = (False, None)
-        # Cross-cycle fragment cache (delta_mode on/verify, global only).
-        self._delta = None
-        if (self.config.delta_mode != "off"
-                and self.config.global_scheduling):
-            from repro.core.delta import DeltaCompiler
-            self._delta = DeltaCompiler(self.state, self.config.quantum_s)
         # Cancellation requests not yet drained.  ``cancel`` may be called
         # from another thread mid-cycle (the async service does); requests
         # are honored only at safe points — cycle start, the launch loop
@@ -597,7 +567,7 @@ class TetriSched:
         self._cancelled: set[str] = set()
         # Sharded multi-domain scheduling (shard_mode racks/auto).  The
         # coordinator persists across cycles: sticky job->domain
-        # assignments and per-domain delta fragment stores live on it.
+        # assignments live on it.
         self._coordinator = None
         self._sharded_pipeline = None
         if self.config.shard_mode != "off":
@@ -608,10 +578,6 @@ class TetriSched:
                     cluster, self.state, self.config)
                 self._sharded_pipeline = sharded_pipeline(
                     audit=self.config.audit_mode)
-                # Delta compilation composes with sharding through the
-                # coordinator's per-domain fragment stores; the monolithic
-                # store would full-rebuild on every interleaved signature.
-                self._delta = None
 
     # -- queue management ----------------------------------------------------
     def submit(self, request: JobRequest) -> None:
@@ -719,7 +685,6 @@ class TetriSched:
                               if self.state.is_running(job_id)]
         result.cancelled.extend(self._drain_cancellations())
 
-        delta = ctx.delta
         stats = CycleStats(
             now=now, pending=self.pending_count,
             launched=len(result.allocations), culled=len(result.culled),
@@ -753,11 +718,6 @@ class TetriSched:
             elastic_shrunk=ctx.resize_shrunk,
             elastic_congested=self._congestion[0],
             elastic_width_cap=self._congestion[1] or 0,
-            jobs_dirty=delta.jobs_dirty if delta else 0,
-            jobs_clean=delta.jobs_clean if delta else 0,
-            rows_patched=delta.rows_patched if delta else 0,
-            cols_patched=delta.cols_patched if delta else 0,
-            delta_full_rebuild=bool(delta and delta.full_rebuild),
             stage_timings=dict(ctx.stage_timings))
         if ctx.shard is not None:
             sh = ctx.shard

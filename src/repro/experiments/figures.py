@@ -235,35 +235,9 @@ def fig12(scale: str = "bench") -> FigureResult:
         "Figure 12(f): independent MILP components per cycle "
         "(decomposed solve; repro extension)",
         solver_work_table(sweep, PLAN_AHEADS_S, "scheduler.components"),
-        "",
-        "Figure 12(g): LP core — legacy tableau vs revised simplex "
-        "(bench-cycle, plan-ahead 96s; repro extension)",
-        _lp_engine_table(),
     ]
     text = "\n".join(blocks)
     return FigureResult("fig12", text, sweep, extras={"cdfs": cdfs})
-
-
-def _lp_engine_table() -> str:
-    """Tableau-vs-revised solver-work table from a fixed-seed bench run."""
-    from repro.experiments.bench import bench_cycle
-    report = bench_cycle()
-    rows = []
-    for name in ("monolithic-tableau", "monolithic-dense"):
-        mode = report["modes"][name]
-        lp = mode["lp"]
-        rows.append([
-            lp["engine"], 1000.0 * mode["stage_timings_s"].get("solve", 0.0),
-            mode["lp_iterations"], lp["dual_pivots"],
-            lp["refactorizations"],
-            f"{lp['warm_hits']}/{lp['warm_restarts']}"])
-    speedup = report["speedup"]["revised_vs_tableau"]
-    table = format_table(
-        ["LP engine", "solve ms", "iterations", "dual pivots",
-         "refactorizations", "warm restarts"], rows)
-    return (table + f"\nrevised-vs-tableau solve-stage speedup: "
-            f"{speedup:.2f}x (objectives bit-equal: "
-            f"{report['modes']['monolithic-tableau']['objectives'] == report['modes']['monolithic-dense']['objectives']})")
 
 
 #: Every reproduced experiment, by id.

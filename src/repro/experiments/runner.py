@@ -74,8 +74,6 @@ class RunSpec:
     max_time_s: float = 100_000.0
     #: Extension: MILP-native preemption of running best-effort jobs.
     enable_preemption: bool = False
-    #: Cross-cycle delta compilation: ``off`` | ``on`` | ``verify``.
-    delta_mode: str = "off"
     #: Arrival burstiness (CV of inter-arrival gaps; 1.0 = Poisson).
     burstiness: float = 1.0
     #: Heterogeneity intensity: sub-optimal-placement slowdown factor.
@@ -103,7 +101,6 @@ def _tetrisched_config(spec: RunSpec, variant: str) -> TetriSchedConfig:
                    rel_gap=spec.rel_gap,
                    solver_time_limit=spec.solver_time_limit,
                    enable_preemption=spec.enable_preemption,
-                   delta_mode=spec.delta_mode,
                    elastic_mode=spec.elastic_mode,
                    reconfig_penalty=spec.reconfig_penalty,
                    # One seed drives everything derived from the config:

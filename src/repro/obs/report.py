@@ -61,11 +61,6 @@ _HEADLINE_COUNTERS = (
     ("scheduler.cancelled", "jobs cancelled"),
     ("scheduler.warm_start.attempts", "warm-start attempts"),
     ("scheduler.warm_start.hits", "warm-start hits"),
-    ("scheduler.delta.jobs_dirty", "delta fragments recompiled"),
-    ("scheduler.delta.jobs_clean", "delta fragments reused"),
-    ("scheduler.delta.rows_patched", "delta rows patched"),
-    ("scheduler.delta.cols_patched", "delta cols patched"),
-    ("scheduler.delta.full_rebuilds", "delta full rebuilds"),
 )
 
 #: Counters a line of their own reports (kept out of "Other counters").

@@ -13,8 +13,7 @@ the shared :class:`~repro.pipeline.context.CycleContext`.  A stage may
 schedule, solver returned no solution).
 
 This makes ``TetriSched.run_cycle`` a thin driver and gives experiments a
-uniform "where does cycle time go" breakdown (see ``BENCH_cycle.json``
-and docs/architecture.md).
+uniform "where does cycle time go" breakdown (see docs/architecture.md).
 """
 
 from repro.pipeline.context import CycleContext

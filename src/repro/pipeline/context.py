@@ -9,7 +9,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only, avoids import cycle
     from repro.core.compiler import CompiledBatch, ResizeCandidate
-    from repro.core.delta import CycleDelta
     from repro.core.scheduler import (CycleResult, JobRequest, SolveTelemetry,
                                       TetriSched, TetriSchedConfig)
     from repro.shard.coordinator import ShardCycle
@@ -42,8 +41,6 @@ class CycleContext:
     resize_grown: int = 0
     resize_shrunk: int = 0
     compiled: "CompiledBatch | None" = None
-    #: What the delta compiler recompiled vs replayed (``delta_mode != off``).
-    delta: "CycleDelta | None" = None
     warm_start: np.ndarray | None = None
     decomposition: "Decomposition | None" = None
     solution: "MILPResult | None" = None

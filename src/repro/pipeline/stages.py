@@ -99,15 +99,7 @@ class StrlGeneration:
 
 
 class Compilation:
-    """Aggregate STRL under the top-level SUM and compile to a MILP.
-
-    With ``delta_mode`` on, compilation goes through the scheduler's
-    persistent :class:`~repro.core.delta.DeltaCompiler`: cached fragments
-    of unchanged jobs are replayed and only dirty jobs re-run Algorithm 1;
-    the per-cycle :class:`~repro.core.delta.CycleDelta` lands on the
-    context for the stats record.  ``delta_mode=verify`` additionally
-    recompiles from scratch and asserts bit-equality.
-    """
+    """Aggregate STRL under the top-level SUM and compile to a MILP."""
 
     name = StageName.COMPILE
 
@@ -115,17 +107,9 @@ class Compilation:
         sched = ctx.scheduler
         preemptible = (sched._preemption_candidates()
                        if ctx.config.enable_preemption else [])
-        if sched._delta is not None:
-            ctx.compiled, ctx.delta = sched._delta.compile_cycle(
-                ctx.exprs, preemptible=preemptible, now=ctx.now,
-                verify=ctx.config.delta_mode == "verify",
-                resizable=ctx.resizable)
-        else:
-            compiler = StrlCompiler(sched.state, ctx.config.quantum_s,
-                                    ctx.now)
-            ctx.compiled = compiler.compile(ctx.exprs,
-                                            preemptible=preemptible,
-                                            resizable=ctx.resizable)
+        ctx.compiled = StrlCompiler(
+            sched.state, ctx.config.quantum_s, ctx.now).compile(
+                ctx.exprs, preemptible=preemptible, resizable=ctx.resizable)
         ctx.telemetry.milp_variables = ctx.compiled.stats["variables"]
         ctx.telemetry.milp_constraints = ctx.compiled.stats["constraints"]
 

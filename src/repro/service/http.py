@@ -11,7 +11,7 @@ POST      ``/jobs``              submit a job spec
 GET       ``/jobs``              list all job records
 GET       ``/jobs/<id>``         one job's lifecycle record
 DELETE    ``/jobs/<id>``         request cancellation
-GET       ``/status``            service + delta-compiler summary
+GET       ``/status``            service summary
 GET       ``/cycles``            recent per-cycle stats records
 POST      ``/cluster/events``    ``{"action": "remove"|"add", "node": n}``
 POST      ``/shard/drain``       ``{"domain": "dom1"}`` (``"~dom1"`` restores)

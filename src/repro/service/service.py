@@ -352,15 +352,7 @@ class SchedulerService:
             "pending": sched.pending_count,
             "utilization": sched.state.utilization(),
             "drained_nodes": sorted(sched.state.drained_nodes),
-            "delta_mode": sched.config.delta_mode,
         }
-        if sched._delta is not None:
-            ds = sched._delta.stats
-            out["delta"] = {
-                "cycles": ds.cycles, "full_rebuilds": ds.full_rebuilds,
-                "fragments_compiled": ds.fragments_compiled,
-                "fragments_reused": ds.fragments_reused,
-            }
         coord = sched._coordinator
         if coord is not None:
             latest = sched.cycle_history[-1] if sched.cycle_history else None
@@ -376,13 +368,6 @@ class SchedulerService:
                     "domain_stats": latest.domain_stats,
                 } if latest is not None else None,
             }
-            if coord.delta_stores is not None:
-                ds = coord.delta_stores.aggregate_stats()
-                out["delta"] = {
-                    "cycles": ds.cycles, "full_rebuilds": ds.full_rebuilds,
-                    "fragments_compiled": ds.fragments_compiled,
-                    "fragments_reused": ds.fragments_reused,
-                }
         return out
 
     def cycles(self, limit: int = 20) -> list[dict[str, Any]]:

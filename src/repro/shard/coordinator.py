@@ -16,10 +16,10 @@ value, and every untrimmed job's full option set survives inside its
 domain).  When no job is trimmed and none is boundary, the bound is zero:
 exact parity.
 
-Assignment is **sticky** (a job keeps its domain across cycles, so the
-per-domain delta-compilation fragment stores stay warm), **affinity-aware**
-(prefer the domain that wholly contains the most options), **load-
-balanced** (among equally-affine domains, pick the least-loaded per node),
+Assignment is **sticky** (a job keeps its domain across cycles),
+**affinity-aware** (prefer the domain that wholly contains the most
+options), **load-balanced** (among equally-affine domains, pick the
+least-loaded per node),
 and **deterministic** under the config's single RNG seed: ties break on a
 keyed blake2b hash of ``(seed, job_id, domain_id)``, never on builtin
 ``hash`` (which is salted per process and would destroy bit-reproducible
@@ -120,8 +120,7 @@ class DomainCoordinator:
     """Assigns jobs to scheduling domains, one instance per scheduler.
 
     Persists across cycles: the domain list (stable — a pure function of
-    cluster topology), the sticky job->domain map, and (``delta_mode !=
-    off``) the per-domain delta-compilation fragment stores.
+    cluster topology) and the sticky job->domain map.
     """
 
     def __init__(self, cluster: Cluster, state: ClusterState,
@@ -132,10 +131,6 @@ class DomainCoordinator:
         count = resolve_shard_count(config.shard_count, cluster)
         self.domains = DomainPartitioner(cluster).partition(count)
         self._sticky: dict[str, int] = {}
-        self.delta_stores = None
-        if config.delta_mode != "off":
-            from repro.core.delta import DomainDeltaStores
-            self.delta_stores = DomainDeltaStores(state, config.quantum_s)
 
     # -- per-job restriction -------------------------------------------------
     def _restrict(self, req: "JobRequest", domain: SchedulingDomain

@@ -13,8 +13,7 @@ This module owns the spatial half of that story: a
 into a list of :class:`SchedulingDomain`, rack-aligned by default and
 pluggable through :func:`register_policy` (the partitioning policy is a
 pure function of the cluster topology, so domains are stable across
-cycles — stability is what lets the per-domain delta-compilation fragment
-stores stay warm).
+cycles).
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ Two invariants the stages are written around:
 * **shard_count=1 is bit-equal to the monolithic pipeline.**  A single
   whole-cluster domain restricts nothing (assignment preserves queue
   order, option intersection is the identity), compiles through the same
-  :class:`~repro.core.delta.DeltaCompiler` / ``StrlCompiler`` path against
-  the same state, warm-starts from the same shifted plan, and gets its
-  result from the monolithic Solve stage's own
+  ``StrlCompiler`` against the same state, warm-starts from the same
+  shifted plan, and gets its result from the monolithic Solve stage's own
   :func:`~repro.pipeline.stages.solve_batch` — so the solved ``x``, the
   launch decisions, and the halting behavior coincide.
 * **Domains are node-disjoint**, so per-domain models draw from disjoint
@@ -60,7 +59,7 @@ class DomainAssign:
 
 
 class DomainCompile:
-    """Compile one MILP per active domain (delta-compiled when enabled)."""
+    """Compile one MILP per active domain."""
 
     name = StageName.COMPILE
 
@@ -68,25 +67,13 @@ class DomainCompile:
         sched = ctx.scheduler
         sh = ctx.shard
         assert sh is not None
-        stores = sched._coordinator.delta_stores
-        deltas = []
         for did in sh.active_domains():
-            batch = sh.batches[did]
-            if stores is not None:
-                compiled, delta = stores.compile_domain(
-                    did, batch, now=ctx.now,
-                    verify=ctx.config.delta_mode == "verify")
-                deltas.append(delta)
-            else:
-                compiler = StrlCompiler(sched.state, ctx.config.quantum_s,
-                                        ctx.now)
-                compiled = compiler.compile(batch)
+            compiled = StrlCompiler(
+                sched.state, ctx.config.quantum_s, ctx.now).compile(
+                    sh.batches[did])
             sh.compiled[did] = compiled
             ctx.telemetry.milp_variables += compiled.stats["variables"]
             ctx.telemetry.milp_constraints += compiled.stats["constraints"]
-        if deltas:
-            from repro.core.delta import merge_cycle_deltas
-            ctx.delta = merge_cycle_deltas(deltas)
 
 
 class DomainModelBuild:

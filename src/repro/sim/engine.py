@@ -349,12 +349,6 @@ class Simulation:
             profile.bump("solver.cache.warm_hits", stats.cache_warm_hits)
             profile.bump("solver.cache.evictions", stats.cache_evictions)
             profile.bump("scheduler.cancelled", stats.cancelled)
-            profile.bump("scheduler.delta.jobs_dirty", stats.jobs_dirty)
-            profile.bump("scheduler.delta.jobs_clean", stats.jobs_clean)
-            profile.bump("scheduler.delta.rows_patched", stats.rows_patched)
-            profile.bump("scheduler.delta.cols_patched", stats.cols_patched)
-            profile.bump("scheduler.delta.full_rebuilds",
-                         1.0 if stats.delta_full_rebuild else 0.0)
             profile.bump("scheduler.elastic.offered", stats.elastic_offered)
             profile.bump("scheduler.elastic.resized", stats.elastic_resized)
             profile.bump("scheduler.elastic.grown", stats.elastic_grown)

@@ -61,11 +61,10 @@ class BranchBoundOptions:
     #: ``"revised"`` (bounded-variable revised simplex, basis factorization
     #: picked automatically by size/density), ``"sparse-lu"`` (force the
     #: Markowitz sparse LU with Forrest–Tomlin updates),
-    #: ``"revised-dense"`` (force the LAPACK dense LU fallback),
-    #: ``"revised-inverse"`` (legacy explicit-inverse path, kept for the
-    #: bench ablation) or ``"tableau"`` (the dense two-phase tableau, kept
-    #: as the differential oracle).  Ignored for external ``lp_solver``
-    #: callables such as scipy/HiGHS.
+    #: ``"revised-dense"`` (force the LAPACK dense LU fallback) or
+    #: ``"tableau"`` (the dense two-phase tableau, kept as the differential
+    #: oracle).  Ignored for external ``lp_solver`` callables such as
+    #: scipy/HiGHS.
     lp_engine: str = "revised"
 
 
@@ -175,8 +174,7 @@ class BranchBoundSolver:
         engine: RevisedSimplexEngine | None = None
         if opts.lp_solver is simplex_solve_lp:
             factor_mode = {"revised": "auto", "sparse-lu": "sparse",
-                           "revised-dense": "dense",
-                           "revised-inverse": "inverse"}.get(opts.lp_engine)
+                           "revised-dense": "dense"}.get(opts.lp_engine)
             if factor_mode is not None:
                 if sparse:
                     # Feed the CSR export straight into the engine's CSC
@@ -191,8 +189,8 @@ class BranchBoundSolver:
             elif opts.lp_engine != "tableau":
                 raise SolverError(
                     f"unknown lp_engine {opts.lp_engine!r}; expected "
-                    "'revised', 'sparse-lu', 'revised-dense', "
-                    "'revised-inverse' or 'tableau'")
+                    "'revised', 'sparse-lu', 'revised-dense' or "
+                    "'tableau'")
 
         def lp_at(node: _Node) -> LPResult:
             if engine is not None:

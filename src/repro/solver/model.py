@@ -24,7 +24,7 @@ decomposer assemble :class:`SparseArrays` directly and wrap them with
 are then array reads, and ``variables`` / ``constraints`` / ``objective``
 are rebuilt from the arrays (plus an :class:`ArrayLayout` of names and
 domains) only for a consumer that asks — the audit oracles,
-``delta_mode=verify``, :meth:`Model.to_lp_string`, tests.
+:meth:`Model.to_lp_string`, tests.
 
 This mirrors the paper's architecture where "the internal MILP model can be
 translated to any MILP backend" (Sec. 3.2.2).
@@ -474,7 +474,8 @@ class Model:
 
         What :meth:`to_sparse_arrays` caches for a hand-built model.  On an
         array-backed model it round-trips arrays -> objects -> arrays,
-        which ``delta_mode=verify`` asserts is the identity.
+        which ``tests/core/test_compiler_properties.py`` asserts is the
+        identity.
         """
         n = self.num_variables
         c = np.zeros(n)

@@ -91,10 +91,8 @@ def fingerprint_arrays(sa) -> ComponentFingerprint:
     """Fingerprint a :class:`~repro.solver.model.SparseArrays` export.
 
     The machinery behind :func:`component_fingerprint`, exposed separately
-    so the cross-cycle delta compiler can fingerprint per-job fragments
-    (which keep their local CSR export but no scratch model) and diff them
-    against the previous cycle — the same identity notion the component
-    cache uses for replay, applied one level earlier in the pipeline.
+    so an export can be fingerprinted without a model around it (the golden
+    export digests of ``tests/core/test_golden_export.py``).
     """
     structural_parts = [
         repr((sa.a_ub.shape, sa.a_eq.shape)).encode(),

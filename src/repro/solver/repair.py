@@ -64,8 +64,8 @@ class RepairSolver:
     gap_threshold:
         Relative audited-gap ceiling for ``auto`` escalation.  The
         condition is strictly ``gap > gap_threshold``, so a negative
-        threshold forces escalation deterministically (used by the bench
-        and fuzz harnesses to exercise the exact-reproduction contract).
+        threshold forces escalation deterministically (used by the fuzz
+        harness and tests to exercise the exact-reproduction contract).
     rel_gap:
         Gap at or below which the repaired incumbent is reported OPTIMAL.
     seed_per_job:

@@ -170,63 +170,6 @@ class DenseBasisFactor:
         return True
 
 
-class InverseBasisFactor:
-    """Explicit ``B^-1`` maintained by product-form eta updates.
-
-    This is the legacy PR-5 approach the sparse LU replaces: O(m^2)
-    memory, an O(m^3) ``np.linalg.inv`` per refactorization and an
-    O(m^2) matvec per solve.  It is kept only as the ``"inverse"``
-    factor mode so the ``bench_lp`` ablation can measure the sparse
-    factorization against the path it retired; production code uses
-    :class:`DenseBasisFactor` or :class:`SparseBasisFactor`.
-    """
-
-    kind = "inverse"
-
-    def __init__(self, m: int) -> None:
-        self.m = m
-        self._binv = np.eye(m)
-        self.nnz_factor = m * m
-        self.fill_ratio = 1.0
-        self.updates = 0
-
-    def factorize(self, cols) -> None:
-        m = self.m
-        basis = np.zeros((m, m))
-        nnz_in = 0
-        for slot, (rows, vals) in enumerate(cols):
-            basis[rows, slot] = vals
-            nnz_in += len(rows)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                self._binv = np.linalg.inv(basis)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBasisError(str(exc)) from exc
-        if not np.all(np.isfinite(self._binv)):
-            raise SingularBasisError("non-finite basis inverse")
-        self.updates = 0
-        self.nnz_factor = m * m
-        self.fill_ratio = float(m * m) / max(1, nnz_in)
-
-    def ftran(self, v: np.ndarray) -> np.ndarray:
-        return self._binv @ v
-
-    def btran(self, v: np.ndarray) -> np.ndarray:
-        return self._binv.T @ v
-
-    def update(self, leave_slot: int, w: np.ndarray,
-               col_rows: np.ndarray, col_vals: np.ndarray) -> bool:
-        # Gauss-Jordan step on the explicit inverse: O(m^2) every pivot.
-        binv = self._binv
-        piv = w[leave_slot]
-        row = binv[leave_slot] / piv
-        binv -= np.outer(w, row)
-        binv[leave_slot] = row
-        self.updates += 1
-        return True
-
-
 class _UAdj:
     """Mutable adjacency for one row or column of ``U``.
 
@@ -668,13 +611,11 @@ def make_factor(m: int, mode: str, nnz: int,
         return SparseBasisFactor(m)
     if mode == "dense":
         return DenseBasisFactor(m)
-    if mode == "inverse":
-        return InverseBasisFactor(m)
     density = nnz / max(1, m * m)
     if m >= sparse_min_rows and density < 0.5:
         return SparseBasisFactor(m)
     return DenseBasisFactor(m)
 
 
-__all__ = ["DenseBasisFactor", "InverseBasisFactor", "SingularBasisError",
-           "SparseBasisFactor", "make_factor"]
+__all__ = ["DenseBasisFactor", "SingularBasisError", "SparseBasisFactor",
+           "make_factor"]

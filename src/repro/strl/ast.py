@@ -154,8 +154,7 @@ class ElasticNCk(StrlNode):
     ``horizon``, ``max_value``) see ordinary combinators — but it keeps
     the width-range semantics first-class so the auditor can check elastic
     conformance (chosen width within range, value reconciled at the
-    *chosen* width) and the delta compiler can detect width-set changes
-    through ordinary structural equality.
+    *chosen* width).
     """
 
     nodes: frozenset[str]

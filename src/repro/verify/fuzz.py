@@ -140,67 +140,6 @@ def _configurations(compiled=None):
         yield "scipy-decomposed", scipy_decomposed
 
 
-def _check_delta_equivalence(state, exprs, quantum_s: float) -> None:
-    """Delta-compilation legs: every cached-fragment path must reproduce
-    the from-scratch model bit-for-bit (``verify=True`` raises
-    :class:`~repro.core.delta.DeltaDivergence` otherwise).
-
-    Covers the cross-cycle cache's distinct paths on this instance: the
-    first-cycle full rebuild, an all-clean replay, a removal followed by a
-    re-add (which may change the partitioning signature and must fall back
-    to a full rebuild), and a dirty recompile of a mutated expression.
-    """
-    from repro.core.delta import DeltaCompiler, DeltaDivergence
-    from repro.strl.ast import Scale
-
-    dc = DeltaCompiler(state, quantum_s)
-    try:
-        dc.compile_cycle(exprs, verify=True)
-        _, replay = dc.compile_cycle(exprs, verify=True)
-        if replay.jobs_clean != len(exprs):
-            raise DifferentialFailure(
-                f"delta replay recompiled {replay.jobs_dirty} fragment(s) "
-                f"of an unchanged batch")
-        if len(exprs) > 1:
-            dc.compile_cycle(exprs[:-1], verify=True)
-            dc.compile_cycle(exprs, verify=True)
-        mutated = [(job_id, Scale(expr, 2.0)) if i == 0 else (job_id, expr)
-                   for i, (job_id, expr) in enumerate(exprs)]
-        dc.compile_cycle(mutated, verify=True)
-    except DeltaDivergence as exc:
-        raise DifferentialFailure(f"delta compilation diverged: {exc}") \
-            from exc
-
-
-def _check_width_mutation_delta(spec: FuzzInstance, state, exprs,
-                                quantum_s: float) -> None:
-    """Width-mutation delta leg: narrow every elastic job by one width and
-    recompile through the same cross-cycle cache.  ``verify=True`` asserts
-    each cycle's incremental model is bit-equal to a from-scratch build —
-    the elastic analogue of a running gang's per-cycle re-plan, where the
-    fragment's option ladder changes between cycles.
-    """
-    from dataclasses import replace
-
-    from repro.core.delta import DeltaCompiler, DeltaDivergence
-
-    narrowed_spec = replace(spec, jobs=tuple(
-        replace(j, k=j.k - 1) if j.elastic and j.k > 1 else j
-        for j in spec.jobs))
-    if narrowed_spec == spec:
-        return
-    _, narrowed, _ = build_instance(narrowed_spec)
-    dc = DeltaCompiler(state, quantum_s)
-    try:
-        dc.compile_cycle(exprs, verify=True)
-        dc.compile_cycle(narrowed, verify=True)
-        dc.compile_cycle(exprs, verify=True)
-    except DeltaDivergence as exc:
-        raise DifferentialFailure(
-            f"delta compilation diverged across a width change: {exc}") \
-            from exc
-
-
 def check_instance(spec: FuzzInstance) -> dict:
     """Run one instance through every configuration and both oracles.
 
@@ -211,9 +150,6 @@ def check_instance(spec: FuzzInstance) -> dict:
     state, exprs, compiled = build_instance(spec)
     if compiled is None:
         return {"trivial": True}
-    _check_delta_equivalence(state, exprs, spec.quantum_s)
-    if any(j.elastic for j in spec.jobs):
-        _check_width_mutation_delta(spec, state, exprs, spec.quantum_s)
     objectives: dict[str, float] = {}
     reference: float | None = None
     for name, solve_fn in _configurations(compiled):

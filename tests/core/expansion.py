@@ -76,8 +76,7 @@ def expand_substituted(frag: JobFragment) -> JobFragment:
         row_coefs=[v for row in rows for v in row[4]],
         objective={moved[c]: v for c, v in frag.objective.items()},
         leaf_indicator=[moved[c] for c in frag.leaf_indicator],
-        leaf_pcol=leaf_pcol, leaf_coef=[1.0] * len(leaf_pcol),
-        _fingerprint=None)
+        leaf_pcol=leaf_pcol, leaf_coef=[1.0] * len(leaf_pcol))
 
 
 @contextmanager

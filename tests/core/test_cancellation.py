@@ -106,22 +106,6 @@ class TestCancelDuringSolve:
         r2 = sched.run_cycle(10.0)
         assert "c" in [a.job_id for a in r2.allocations]
 
-    def test_mid_cycle_cancel_with_delta_mode_verify(self):
-        cluster, sched = build(delta_mode="verify")
-        sched.submit(request(cluster, "a"))
-        stages = []
-        for stage in sched._global_pipeline.stages:
-            stages.append(stage)
-            if stage.name == "solve":
-                stages.append(_CancelDuringSolve("a"))
-        sched._global_pipeline = CyclePipeline(stages)
-        result = sched.run_cycle(0.0)
-        assert result.cancelled == ["a"]
-        # Next cycle the job is gone from the batch (delta sees a removal).
-        sched.submit(request(cluster, "b"))
-        r2 = sched.run_cycle(10.0)
-        assert "b" in [a.job_id for a in r2.allocations]
-
 
 class TestCancelMidResize:
     def elastic_request(self, cluster, job_id, value=50.0):

@@ -7,7 +7,8 @@ Invariants checked on random STRL batches:
    (sum over jobs of ``max_value``);
 3. decoded placements never exceed per-partition per-quantum supply;
 4. every nCk placement allocates exactly its ``k`` nodes;
-5. bulk emission of leaf runs writes the same model as leaf-by-leaf.
+5. bulk emission of leaf runs writes the same model as leaf-by-leaf;
+6. the export the solver gets is the export of the objects the audit reads.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.core import PlanAccumulator, StrlCompiler
 from repro.solver import make_backend, scipy_available
 from repro.solver.parallel import fingerprint_arrays
 from repro.strl import ElasticNCk, LnCk, Max, Min, NCk
+from tests.core.test_substitution import _compile, _instances
 
 NODES = [f"n{i}" for i in range(6)]
 UNIVERSE = frozenset(NODES)
@@ -200,3 +202,30 @@ class TestBulkEmission:
                          "leaf_ptr", "leaf_pcol", "leaf_pid"):
                 assert np.array_equal(getattr(bulk, attr),
                                       getattr(other, attr))
+
+
+class TestExportRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(_instances())
+    def test_arrays_to_objects_to_arrays_is_the_identity(self, drawn):
+        # A compiled model *is* its arrays; ``variables`` / ``constraints``
+        # / ``objective`` are rebuilt from them for the audit oracles and
+        # ``to_lp_string``.  Exporting those objects again must give back
+        # the arrays that were solved (as numbers: a zero objective
+        # coefficient may come back as the other signed zero).
+        model = _compile(*drawn).model
+        solved, rebuilt = model.to_sparse_arrays(), model.export_from_objects()
+        assert solved is not rebuilt
+        assert solved.a_ub.shape == rebuilt.a_ub.shape
+        assert solved.a_eq.shape == rebuilt.a_eq.shape
+        assert solved.obj_constant == rebuilt.obj_constant
+        assert solved.obj_sign == rebuilt.obj_sign
+        fields = [(name, getattr(solved, name), getattr(rebuilt, name))
+                  for name in ("c", "b_ub", "b_eq", "lb", "ub", "integrality")]
+        for mat in ("a_ub", "a_eq"):
+            fields += [(f"{mat}.{part}", getattr(getattr(solved, mat), part),
+                        getattr(getattr(rebuilt, mat), part))
+                       for part in ("indptr", "indices", "data")]
+        for name, have, want in fields:
+            assert have.dtype == want.dtype, name
+            assert np.array_equal(have, want), name

@@ -351,12 +351,11 @@ def _trajectory(cycles=4, **config):
 
 
 class TestEquivalentPipelinesStayBitEqual:
-    def test_delta_verify_and_one_shard_match_the_monolithic_cycle(self):
+    def test_one_shard_matches_the_monolithic_cycle(self):
         reference = _trajectory()
         assert any(allocs for allocs, _, _ in reference)
         assert any(solves for _, _, solves in reference), \
             "nothing contended: the backend never saw a substituted model"
-        assert _trajectory(delta_mode="verify") == reference
         assert _trajectory(shard_mode="racks", shard_count=1) == reference
 
     def test_the_expanded_formulation_schedules_the_same(self):

@@ -27,6 +27,16 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scheduler", "Nope"])
 
+    def test_every_backend_flag_shares_one_default(self):
+        import argparse
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        defaults = {
+            name: p.get_default("backend") for name, p in sub.choices.items()
+            if any("--backend" in a.option_strings for a in p._actions)}
+        assert set(defaults) == {"run", "solve", "profile", "serve"}
+        assert set(defaults.values()) == {"auto"}, defaults
+
 
 class TestRunCommand:
     def test_run_prints_metrics(self, capsys):

@@ -13,7 +13,7 @@ from repro.service import FakeClock, SchedulerService, serve
 def build_service(tmp_path=None):
     cluster = Cluster.build(racks=2, nodes_per_rack=2, gpu_racks=1)
     cfg = TetriSchedConfig(quantum_s=10.0, cycle_s=10.0, plan_ahead_s=40.0,
-                           backend="pure", rel_gap=1e-6, delta_mode="verify")
+                           backend="pure", rel_gap=1e-6)
     stats = tmp_path / "final.json" if tmp_path else None
     return SchedulerService(cluster, cfg, clock=FakeClock(),
                             stats_path=stats)
@@ -86,7 +86,7 @@ class TestRoutes:
             await loop.run_in_executor(None, svc.run_one_cycle)
             status, cycles = await call("GET", "/cycles")
             assert status == 200 and len(cycles["cycles"]) == 1
-            assert cycles["cycles"][0]["jobs_dirty"] == 1
+            assert cycles["cycles"][0]["launched"] == 1
 
             node = sorted(svc.cluster.node_names)[0]
             status, out = await call("POST", "/cluster/events",

@@ -14,7 +14,7 @@ from repro.service import (CANCELLED, COMPLETED, CULLED, PENDING, RUNNING,
 def build(clock=None, **kw):
     cluster = Cluster.build(racks=2, nodes_per_rack=2, gpu_racks=1)
     defaults = dict(quantum_s=10.0, cycle_s=10.0, plan_ahead_s=40.0,
-                    backend="pure", rel_gap=1e-6, delta_mode="verify")
+                    backend="pure", rel_gap=1e-6)
     defaults.update(kw)
     return SchedulerService(cluster, TetriSchedConfig(**defaults),
                             clock=clock or FakeClock())
@@ -146,14 +146,11 @@ class TestLifecycle:
         with pytest.raises(ServiceError):
             svc.cluster_event("explode", node)
 
-    def test_status_reports_delta(self):
+    def test_status_counts_cycles(self):
         svc = build()
         svc.submit_spec(dict(SPEC, job_id="a"))
         svc.run_one_cycle()
-        status = svc.status()
-        assert status["delta_mode"] == "verify"
-        assert status["delta"]["cycles"] == 1
-        assert status["cycles_run"] == 1
+        assert svc.status()["cycles_run"] == 1
 
 
 class TestDrain:
@@ -163,8 +160,7 @@ class TestDrain:
         svc = SchedulerService(
             cluster,
             TetriSchedConfig(quantum_s=10.0, backend="pure",
-                             plan_ahead_s=40.0, rel_gap=1e-6,
-                             delta_mode="verify"),
+                             plan_ahead_s=40.0, rel_gap=1e-6),
             clock=clock, stats_path=tmp_path / "final.json")
         svc.submit_spec(dict(SPEC, job_id="a"))
         svc.run_one_cycle()

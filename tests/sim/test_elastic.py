@@ -3,13 +3,16 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.api import Scheduler
 from repro.cluster import Cluster
-from repro.core import TetriSchedConfig
+from repro.core import JobRequest, PriorityClass, TetriSchedConfig
 from repro.errors import WorkloadError
 from repro.sim import (ElasticType, ExecutionTrace, FaultModel, Job,
                        Simulation, TetriSchedAdapter, UnconstrainedType)
 from repro.sim.faults import FaultDecision
 from repro.sim.trace import LAUNCH, RESIZE
+from repro.strl import SpaceOption
+from repro.valuefn import StepValue
 from repro.workloads.serialization import job_from_dict, job_to_dict
 from tests.strategies import elastic_sim_workloads
 
@@ -275,15 +278,101 @@ class TestElasticProperties:
             if o.completed:
                 assert o.finish_time > o.start_time >= job.submit_time - 1e-9
 
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(jobs=elastic_sim_workloads())
-    def test_delta_verify_bit_equal_across_width_changes(self, jobs):
-        """delta_mode='verify' rebuilds every cycle's incremental model
-        from scratch and raises on any mismatch — resize fragments whose
-        width ladders change between cycles must stay bit-equal too."""
-        cluster = Cluster.build(racks=2, nodes_per_rack=3)
-        res = Simulation(
-            cluster, elastic_adapter(cluster, delta_mode="verify"),
-            jobs, max_time_s=50_000).run()
-        assert res.end_time < 50_000
+
+class TestElasticBeatsRigid:
+    """Width re-planning against rigid max-width gangs, 8 racks x 32 nodes.
+
+    One malleable gang per rack (3/4 rack preferred, ladder down to half,
+    work-conserving durations) plus bursts of three half-rack SLO jobs per
+    rack at cycles 2 and 5, each due within three quanta.  Beside a rigid
+    3/4-rack gang only a quarter rack is free, so every SLO job is culled;
+    a gang shrunk to half a rack leaves exactly the room to run them back
+    to back.  The rigid arm submits the same gangs at their widest option
+    only.  Gangs contribute the same node-seconds in both arms, so the
+    utilization gap is the SLO work the cluster could also admit.
+    """
+
+    QUANTUM = 8.0
+    HORIZON_Q = 8
+    BURSTS = (2, 5)
+
+    def gangs(self, cluster, elastic):
+        for rack in sorted(cluster.rack_names):
+            nodes = cluster.rack_nodes(rack)
+            top, lo = (3 * len(nodes)) // 4, len(nodes) // 2
+            yield JobRequest(
+                job_id=f"{rack}-gang",
+                options=tuple(SpaceOption(
+                    nodes, k=w, label=f"w{w}",
+                    duration_s=-(-top * self.HORIZON_Q // w) * self.QUANTUM)
+                    for w in range(top, (lo if elastic else top) - 1, -1)),
+                value_fn=StepValue(value=5.0, deadline=1e9),
+                priority=PriorityClass.BEST_EFFORT, submit_time=0.0,
+                elastic=elastic)
+
+    def burst(self, cluster, cycle):
+        now = cycle * self.QUANTUM
+        deadline = now + 3 * self.QUANTUM
+        for rack in sorted(cluster.rack_names):
+            nodes = cluster.rack_nodes(rack)
+            for j in range(3):
+                yield JobRequest(
+                    job_id=f"b{cycle}-{rack}-slo{j}",
+                    options=(SpaceOption(nodes, k=len(nodes) // 2,
+                                         duration_s=self.QUANTUM),),
+                    value_fn=StepValue(value=50.0, deadline=deadline),
+                    priority=PriorityClass.SLO_ACCEPTED, submit_time=now,
+                    deadline=deadline)
+
+    def run_arm(self, elastic):
+        """One arm run until the cluster drains, so each is scored over its
+        own makespan (a shrunk gang runs longer; cutting it off early would
+        flatter the elastic arm)."""
+        cluster = Cluster.build(racks=8, nodes_per_rack=32)
+        api = Scheduler.open(cluster, TetriSchedConfig(
+            quantum_s=self.QUANTUM, cycle_s=self.QUANTUM, plan_ahead_s=64.0,
+            rel_gap=1e-6, elastic_mode=elastic, seed=0, audit_mode=True))
+        requests = {}
+        for job in self.gangs(cluster, elastic):
+            requests[job.job_id] = job
+            api.submit(job)
+        ends, done = {}, set()
+        busy_node_s, resizes = 0.0, 0
+        for c in range(24):
+            now = c * self.QUANTUM
+            for job_id, end in sorted(ends.items()):
+                if job_id not in done and end <= now + 1e-9:
+                    api.job_finished(job_id, now)
+                    done.add(job_id)
+            if c in self.BURSTS:
+                for job in self.burst(cluster, c):
+                    requests[job.job_id] = job
+                    api.submit(job)
+            res = api.run_cycle(now)
+            resizes += len(res.resized)
+            ends.update((a.job_id, a.expected_end) for a in res.allocations)
+            busy = len(cluster) - len(api.core.state.free_nodes())
+            busy_node_s += busy * self.QUANTUM
+            if busy == 0 and api.pending_count == 0 and c >= max(self.BURSTS):
+                break
+        else:
+            pytest.fail("cluster never drained")
+        api.close()
+        makespan = max(ends.values())
+        return {
+            "utilization": busy_node_s / (len(cluster) * makespan),
+            # Each launched job scored once, at its final (resize-adjusted)
+            # expected completion; culled jobs score zero.
+            "value": sum(requests[j].value_fn(end) for j, end in ends.items()),
+            "resizes": resizes,
+            "slo_completed": sum(1 for j in ends if "-slo" in j),
+        }
+
+    def test_elastic_wins_on_utilization_and_value(self):
+        rigid, elastic = self.run_arm(False), self.run_arm(True)
+        assert elastic["utilization"] > rigid["utilization"]
+        assert elastic["utilization"] == pytest.approx(0.818, abs=5e-4)
+        assert rigid["utilization"] == pytest.approx(0.750, abs=5e-4)
+        assert elastic["value"] > rigid["value"]
+        assert elastic["resizes"] > 0 and rigid["resizes"] == 0
+        assert (rigid["slo_completed"], elastic["slo_completed"]) == (0, 48)

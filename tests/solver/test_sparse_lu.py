@@ -22,12 +22,11 @@ from hypothesis import given, settings
 
 from repro.solver import BranchBoundOptions, BranchBoundSolver, SolveStatus
 from repro.solver.revised_simplex import BasisState, RevisedSimplexEngine
-from repro.solver.sparse_lu import (DenseBasisFactor, InverseBasisFactor,
-                                    SingularBasisError, SparseBasisFactor,
-                                    make_factor)
+from repro.solver.sparse_lu import (DenseBasisFactor, SingularBasisError,
+                                    SparseBasisFactor, make_factor)
 from tests.strategies import degenerate_lps, lp_problems, mixed_bound_lps
 
-ALL_FACTORS = (SparseBasisFactor, DenseBasisFactor, InverseBasisFactor)
+ALL_FACTORS = (SparseBasisFactor, DenseBasisFactor)
 
 
 def _random_basis(rng, m, max_col_nnz=4):
@@ -140,7 +139,6 @@ class TestFactorSolves:
     def test_make_factor_mode_selection(self):
         assert make_factor(4, "sparse", 16, 128).kind == "sparse"
         assert make_factor(600, "dense", 10, 128).kind == "dense"
-        assert make_factor(600, "inverse", 10, 128).kind == "inverse"
         # auto: small basis stays dense, big sparse basis goes sparse,
         # big *dense* basis stays dense.
         assert make_factor(16, "auto", 40, 128).kind == "dense"
@@ -333,16 +331,3 @@ class TestBackendIntegration:
         assert res.stats["lp_fill_ratio"] >= 1.0
         assert res.stats["lp_pricing_candidates"] > 0
         assert "lp_ft_updates" in res.stats
-
-    def test_inverse_engine_kept_for_bench_ablation(self):
-        from repro.solver.model import Model
-        m = Model()
-        x = m.add_integer("x", ub=9)
-        y = m.add_integer("y", ub=9)
-        m.add_constraint(2 * x + 3 * y, "<=", 12)
-        m.set_objective(3 * x + 4 * y, sense="maximize")
-        inv = BranchBoundSolver(BranchBoundOptions(
-            lp_engine="revised-inverse")).solve(m)
-        ref = BranchBoundSolver(BranchBoundOptions()).solve(m)
-        assert inv.status == ref.status == SolveStatus.OPTIMAL
-        assert inv.objective == ref.objective

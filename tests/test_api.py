@@ -149,7 +149,7 @@ class TestConfigLayering:
     @pytest.mark.parametrize("kw,match", [
         (dict(quantum_s=0), "quantum_s"),
         (dict(cycle_s=-1), "cycle_s"),
-        (dict(delta_mode="sometimes"), "delta_mode"),
+        (dict(solve_mode="sometimes"), "solve_mode"),
         (dict(shard_mode="pods"), "shard_mode"),
         (dict(shard_count=-1), "shard_count"),
         (dict(shard_count=2), "shard_mode='off'"),

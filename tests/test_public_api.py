@@ -49,8 +49,6 @@ TOP_LEVEL_API = {
     "TetriSched", "TetriSchedConfig",
     # sharded multi-domain scheduling
     "DomainCoordinator", "DomainPartitioner", "SchedulingDomain",
-    # cross-cycle delta compilation
-    "CycleDelta", "DeltaDivergence",
     # long-lived scheduler service
     "SchedulerService", "ServiceAdapter", "ServiceServer",
     # cycle pipeline
