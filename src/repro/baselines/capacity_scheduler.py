@@ -34,7 +34,7 @@ from repro.cluster.state import ClusterState
 from repro.core.allocation import Allocation
 from repro.errors import SchedulerError
 from repro.reservation.rayon import RayonReservationSystem
-from repro.sim.interface import CycleDecisions
+from repro.sim.interface import CycleDecisions, Heartbeat
 from repro.sim.jobs import Job
 
 
@@ -57,6 +57,7 @@ class CapacityScheduler:
         self.cluster = cluster
         self.rayon = rayon
         self.cycle_s = cycle_s
+        self._heartbeat = Heartbeat(cycle_s)
         self.preemption = preemption
         self.state = ClusterState(cluster.node_names)
         self._reserved_queue: OrderedDict[str, Job] = OrderedDict()
@@ -90,6 +91,8 @@ class CapacityScheduler:
 
     # -- scheduling cycle -------------------------------------------------------
     def cycle(self, now: float) -> CycleDecisions:
+        if self._heartbeat.off_period(now):
+            return CycleDecisions()  # plans on its heartbeat, as in the paper
         decisions = CycleDecisions()
         self._demote_expired(now)
         self._serve_reserved_queue(now, decisions)

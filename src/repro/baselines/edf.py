@@ -21,7 +21,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.state import ClusterState
 from repro.core.allocation import Allocation
 from repro.errors import SchedulerError
-from repro.sim.interface import CycleDecisions
+from repro.sim.interface import CycleDecisions, Heartbeat
 from repro.sim.jobs import Job
 
 
@@ -42,6 +42,7 @@ class EdfScheduler:
         self.name = name
         self.cluster = cluster
         self.cycle_s = cycle_s
+        self._heartbeat = Heartbeat(cycle_s)
         #: Skip (and permanently cull) SLO jobs whose estimated runtime no
         #: longer fits before the deadline — EDF's version of TetriSched's
         #: culling; disable to run them blindly like Rayon/CS.
@@ -74,6 +75,8 @@ class EdfScheduler:
 
     # -- scheduling cycle -------------------------------------------------------
     def cycle(self, now: float) -> CycleDecisions:
+        if self._heartbeat.off_period(now):
+            return CycleDecisions()  # plans on its heartbeat, as in the paper
         decisions = CycleDecisions()
         # SLO jobs by earliest deadline; FIFO breaks ties.
         slo_order = sorted(self._slo.values(),

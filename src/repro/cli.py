@@ -343,6 +343,12 @@ def _serve_smoke(service, host: str, cycle_s: float) -> int:
         if not ok:
             raise RuntimeError(f"smoke check failed: {what}")
 
+    def wait_until(job_id: str, reached, within_s: float) -> None:
+        until = time.monotonic() + within_s
+        while not reached(call("GET", f"/jobs/{job_id}")[1]["state"]):
+            check(time.monotonic() < until, f"{job_id} in {within_s}s")
+            time.sleep(0.01)
+
     quantum = service.config.quantum_s
     try:
         check(call("GET", "/healthz")[1] == {"ok": True}, "healthz")
@@ -352,9 +358,13 @@ def _serve_smoke(service, host: str, cycle_s: float) -> int:
             status, rec = call("POST", "/jobs", dict(spec, job_id=f"smoke-{i}"))
             check(status == 201 and rec["state"] == "pending",
                   f"submit smoke-{i}")
+            if i == 0:  # placed on arrival, not on the next tick
+                wait_until("smoke-0", lambda st: st != "pending", cycle_s / 4)
         call("POST", "/jobs", dict(spec, job_id="smoke-cancel"))
         status, rec = call("DELETE", "/jobs/smoke-cancel")
-        check(status == 200 and rec["state"] == "cancelled", "cancel")
+        check(status == 200, "cancel")
+        # A cycle holding the lock defers the registry update to its drain.
+        wait_until("smoke-cancel", lambda st: st == "cancelled", 10.0)
 
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:

@@ -64,6 +64,11 @@ from repro.valuefn import ValueFunction
 SOLVE_MODES = ("exact", "repair", "auto")
 SHARD_MODES = ("off", "racks", "auto")
 
+#: Burst guard: an arrival less than this fraction of ``cycle_s`` after the
+#: one before it is left to the periodic cycle.  125 ms at 4 s, a decade from
+#: a burst's ~12 ms gaps and a steady ~730 ms (``docs/architecture.md`` §5).
+ARRIVAL_BURST_FRACTION = 1 / 32
+
 
 @dataclass(frozen=True)
 class JobRequest:
@@ -565,6 +570,10 @@ class TetriSched:
         # (a cancelled job is never ``state.start``-ed), and cycle end — so
         # a cancel can never strand an allocation-ledger entry.
         self._cancelled: set[str] = set()
+        # Arrival-cycle policy state (see _arrival_refusal).
+        self._last_arrival = float("-inf")
+        self._arrival_gap = float("inf")
+        self._contended = False
         # Sharded multi-domain scheduling (shard_mode racks/auto).  The
         # coordinator persists across cycles: sticky job->domain
         # assignments live on it.
@@ -583,6 +592,8 @@ class TetriSched:
     def submit(self, request: JobRequest) -> None:
         """Add a job to the pending queue (from YARN proxy / reservation)."""
         self.queues.push(request.job_id, request.priority, request)
+        self._arrival_gap = request.submit_time - self._last_arrival
+        self._last_arrival = max(self._last_arrival, request.submit_time)
 
     def on_job_finished(self, job_id: str, now: float) -> frozenset[str]:
         """Signal job completion; frees its nodes (Sec. 3.3 interface (c))."""
@@ -634,12 +645,17 @@ class TetriSched:
         return len(self.queues)
 
     # -- per-cycle scheduling --------------------------------------------------
-    def run_cycle(self, now: float) -> CycleResult:
+    def run_cycle(self, now: float, arrival: bool = False) -> CycleResult:
         """Run one scheduling cycle at absolute time ``now``.
 
         Returns the launch decisions; callers (the simulator / YARN proxy)
         are responsible for actually starting the jobs and reporting
         completion via :meth:`on_job_finished`.
+
+        ``arrival=True`` is the off-period cycle a driver asks for right
+        after a submission: the same pipeline, ``Solve`` restricted to the
+        booking certificate.  A hit is what a periodic cycle would decide for
+        the jobs present and launches now; a miss plans nothing (no solver).
         """
         t_cycle = time.monotonic()
         result = CycleResult()
@@ -647,7 +663,7 @@ class TetriSched:
         self._congestion = self._elastic_congestion()
         tel = SolveTelemetry()
         ctx = CycleContext(scheduler=self, now=now, result=result,
-                           telemetry=tel)
+                           telemetry=tel, arrival=arrival)
         if self._sharded_pipeline is not None:
             pipeline = self._sharded_pipeline
         elif self.config.global_scheduling:
@@ -655,8 +671,11 @@ class TetriSched:
         else:
             pipeline = self._greedy_pipeline
 
+        outcome = self._arrival_refusal(pipeline) if arrival else None
+        pending = self.pending_count
         with obs.span("cycle"):
-            pipeline.run(ctx)
+            if outcome is None:  # else like an empty queue: nothing is built
+                pipeline.run(ctx)
             kept: list[Allocation] = []
             resized = set(result.resized)
             for alloc in result.allocations:
@@ -684,6 +703,15 @@ class TetriSched:
             result.resized = [job_id for job_id in result.resized
                               if self.state.is_running(job_id)]
         result.cancelled.extend(self._drain_cancellations())
+        if outcome is None:
+            booked = bool(ctx.solution
+                          and ctx.solution.stats.get("direct_booking"))
+            self._contended = ctx.compiled is not None and not booked
+            outcome = "booked" if booked else "miss"
+        if arrival:
+            obs.count(f"scheduler.arrival_cycle.{outcome}")
+            obs.emit("scheduler.arrival_cycle", outcome=outcome,
+                     pending=pending, launched=len(result.allocations))
 
         stats = CycleStats(
             now=now, pending=self.pending_count,
@@ -730,6 +758,24 @@ class TetriSched:
         self.cycle_history.append(stats)
         result.stats = stats
         return result
+
+    def _arrival_refusal(self, pipeline) -> str | None:
+        """Why an arrival cycle is not attempted (constant time, no build).
+
+        The newest arrival came right after the one before it: booked first
+        come first served, a burst fills the cluster before the global cycle
+        sees it whole.  Or the last non-empty cycle missed the certificate
+        and no periodic cycle has booked, or found the queue empty, since: a
+        contended stretch wastes one compile.  Greedy and sharded cycles
+        certify nothing.
+        """
+        if pipeline is not self._global_pipeline:
+            return "unsupported"
+        if self._arrival_gap < self.config.cycle_s * ARRIVAL_BURST_FRACTION:
+            return "burst"
+        if self._contended:
+            return "contended"
+        return None
 
     # -- STRL generation --------------------------------------------------------
     def _generate(self, req: JobRequest, now: float) -> StrlNode | None:

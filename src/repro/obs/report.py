@@ -65,6 +65,7 @@ _HEADLINE_COUNTERS = (
 
 #: Counters a line of their own reports (kept out of "Other counters").
 _DERIVED_COUNTERS = ("scheduler.solve_cycles", "scheduler.direct_booked")
+_ARRIVAL = "scheduler.arrival_cycle."  # one counter per outcome
 
 
 def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
@@ -90,6 +91,10 @@ def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
                    f"{profile.counter('scheduler.direct_booked'):.0f} of "
                    f"{profile.counter('scheduler.solve_cycles'):.0f} cycles "
                    "(no solver invocation: every job got its best option)"]
+    arrivals = sorted(n for n in profile.counters if n.startswith(_ARRIVAL))
+    if arrivals:
+        blocks += ["arrival cycles (off-period, solver-free): " + ", ".join(
+            f"{n[len(_ARRIVAL):]} {profile.counter(n):.0f}" for n in arrivals)]
 
     # Basis-factorization / pricing economics of the revised simplex:
     # how far each factorization is stretched by Forrest-Tomlin updates,
@@ -124,7 +129,7 @@ def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
                                  "max ms"], timer_rows)]
 
     shown = {name for name, _ in _HEADLINE_COUNTERS} | set(_DERIVED_COUNTERS)
-    other = sorted(set(profile.counters) - shown)
+    other = sorted(set(profile.counters) - shown - set(arrivals))
     if other:
         blocks += ["", "Other counters",
                    format_table(["counter", "value"],

@@ -29,6 +29,8 @@ class CycleContext:
     now: float
     result: "CycleResult"
     telemetry: "SolveTelemetry"
+    #: Off-period arrival cycle: ``Solve`` only asks for the certificate.
+    arrival: bool = False
 
     #: (job_id, STRL root) per schedulable pending job — plus, with
     #: ``elastic_mode``, one resize fragment per running elastic job.

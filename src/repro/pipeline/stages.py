@@ -16,6 +16,8 @@ import enum
 import time
 from typing import TYPE_CHECKING, Protocol
 
+import numpy as np
+
 from repro import obs
 from repro.core.allocation import PlanAccumulator
 from repro.core.compiler import StrlCompiler
@@ -24,8 +26,6 @@ from repro.solver.options import SolveOptions
 from repro.solver.result import MILPResult, SolveStatus
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.core.compiler import CompiledBatch
     from repro.core.scheduler import TetriSched
     from repro.pipeline.context import CycleContext
@@ -133,7 +133,7 @@ class ModelBuild:
                  variables=ctx.compiled.model.num_variables,
                  constraints=ctx.compiled.model.num_constraints,
                  nnz=ctx.nnz)
-        if sched._warm_start_wanted:
+        if sched._warm_start_wanted and not ctx.arrival:
             ctx.telemetry.warm_start_attempted = True
             with obs.span("warm_start"):
                 ctx.warm_start = sched._build_warm_start(ctx.compiled, ctx.now)
@@ -151,8 +151,8 @@ class Decompose:
     def run(self, ctx: "CycleContext") -> None:
         assert ctx.compiled is not None
         # A cycle that books directly (solve_batch reuses the attempt) never
-        # reaches a solver: one block, nothing to split.
-        if (not ctx.config.decomposition
+        # reaches a solver, nor does an arrival cycle: nothing to split.
+        if (not ctx.config.decomposition or ctx.arrival
                 or ctx.compiled.book_directly()[0] is not None):
             ctx.components = 1
             return
@@ -166,7 +166,8 @@ class Decompose:
 
 def solve_batch(sched: "TetriSched", compiled: "CompiledBatch",
                 decomp: "Decomposition | None",
-                warm_start: "np.ndarray | None") -> MILPResult:
+                warm_start: "np.ndarray | None",
+                book_only: bool = False) -> MILPResult | None:
     """One cycle MILP's result: booked directly, or from the backend.
 
     An uncontended batch never reaches the backend: when every job can
@@ -178,7 +179,8 @@ def solve_batch(sched: "TetriSched", compiled: "CompiledBatch",
     ``decomp`` splits the model.  The per-call
     :class:`~repro.solver.options.SolveOptions` carries the cycle warm
     start plus the scheduler's worker-pool and component-cache
-    configuration (``solver_workers`` / ``component_cache``).
+    configuration (``solver_workers`` / ``component_cache``).  With
+    ``book_only`` (an arrival cycle) a missed booking returns ``None``.
     """
     x, miss = compiled.book_directly()
     if x is not None:
@@ -190,6 +192,8 @@ def solve_batch(sched: "TetriSched", compiled: "CompiledBatch",
         job_id, pid, quantum = miss
         obs.emit("scheduler.direct_booking.miss", job=job_id, partition=pid,
                  quantum=quantum)
+    if book_only:
+        return None
     config = sched.config
     if decomp is not None and (decomp.num_components > 1
                                or decomp.free_indices.size):
@@ -226,8 +230,16 @@ class Solve:
         assert ctx.compiled is not None
         t0 = time.monotonic()
         res = solve_batch(sched, ctx.compiled, ctx.decomposition,
-                          ctx.warm_start)
+                          ctx.warm_start, book_only=ctx.arrival)
         tel.solver_latency_s += time.monotonic() - t0
+        if res is None:
+            # Arrival cycle, certificate missed: no block answered; the empty
+            # plan (always feasible) is extracted and audited like any result.
+            ctx.components = 0
+            x = np.zeros(ctx.compiled.model.num_variables)
+            ctx.solution = MILPResult(
+                SolveStatus.FEASIBLE, x, ctx.compiled.model.objective_value(x))
+            return
         tel.absorb(res)
         if not res.status.has_solution:
             # All-zero (schedule nothing) is always feasible, so this should
@@ -277,10 +289,12 @@ class Extract:
         with obs.span("decode"):
             placements = [pl for pl in compiled.decode(res.x)
                           if pl.job_id not in keeps]
-            sched._prev_plan = [
-                (job_id, leaf) for job_id, leaf in compiled.chosen_plan(res.x)
-                if job_id not in compiled.resize_candidates]
-            sched._prev_now = ctx.now
+            if not ctx.arrival:  # the warm start shifts the periodic plan
+                sched._prev_plan = [
+                    (job_id, leaf)
+                    for job_id, leaf in compiled.chosen_plan(res.x)
+                    if job_id not in compiled.resize_candidates]
+                sched._prev_now = ctx.now
 
         with obs.span("materialize"):
             acc = PlanAccumulator(sched.state, ctx.now, ctx.config.quantum_s)

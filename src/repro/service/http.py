@@ -7,7 +7,7 @@ JSON in and out.  Routes (see ``docs/service.md`` for curl examples):
 ========  =====================  ==========================================
 method    path                   action
 ========  =====================  ==========================================
-POST      ``/jobs``              submit a job spec
+POST      ``/jobs``              submit a job spec (an arrival cycle follows)
 GET       ``/jobs``              list all job records
 GET       ``/jobs/<id>``         one job's lifecycle record
 DELETE    ``/jobs/<id>``         request cancellation
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from repro.errors import ReproError, ServiceError
 from repro.service.service import SchedulerService, run_cycle_loop
@@ -128,11 +128,11 @@ class ServiceServer:
     # -- request handling ----------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        drain_after = False
+        after = None
         try:
             try:
                 method, path, _headers, body = await _read_request(reader)
-                status, payload, drain_after = await self._route(
+                status, payload, after = await self._route(
                     method, path, body)
             except _HttpError as exc:
                 status, payload = exc.status, {"error": exc.message}
@@ -150,38 +150,49 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-        if drain_after:
-            # Full drain happens after the response is on the wire so the
-            # caller sees the final stats instead of a reset connection.
-            await self.drain()
+        if after is not None:
+            # Once the response is on the wire: the full drain (the caller
+            # sees the final stats, not a reset connection), or the arrival
+            # cycle of the job just acknowledged.
+            await after()
 
-    async def _route(self, method: str, path: str,
-                     body: bytes) -> tuple[int, Any, bool]:
+    async def _arrival_cycle(self) -> None:
+        """One off-period cycle for the submission just acknowledged."""
+        if self._stop.is_set():
+            return
+        try:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.service.run_one_cycle, True)  # arrival=True
+        except Exception as exc:  # nobody waits for this cycle: record it
+            self.service.cycle_failed("arrival", exc)
+
+    async def _route(self, method: str, path: str, body: bytes
+                     ) -> tuple[int, Any, Callable[[], Awaitable] | None]:
         svc = self.service
         loop = asyncio.get_running_loop()
         if path == "/healthz" and method == "GET":
-            return 200, {"ok": True}, False
+            return 200, {"ok": True}, None
         if path == "/status" and method == "GET":
-            return 200, svc.status(), False
+            return 200, svc.status(), None
         if path == "/cycles" and method == "GET":
-            return 200, {"cycles": svc.cycles()}, False
+            return 200, {"cycles": svc.cycles()}, None
         if path == "/jobs" and method == "GET":
-            return 200, {"jobs": [r.to_dict() for r in svc.jobs()]}, False
+            return 200, {"jobs": [r.to_dict() for r in svc.jobs()]}, None
         if path == "/jobs" and method == "POST":
             spec = _json_body(body)
             # Submission takes the service lock; keep the loop responsive.
             rec = await loop.run_in_executor(None, svc.submit_spec, spec)
-            return 201, rec.to_dict(), False
+            return 201, rec.to_dict(), self._arrival_cycle
         if path.startswith("/jobs/"):
             job_id = path[len("/jobs/"):]
             try:
                 if method == "GET":
-                    return 200, svc.job(job_id).to_dict(), False
+                    return 200, svc.job(job_id).to_dict(), None
                 if method == "DELETE":
-                    return 200, svc.cancel(job_id).to_dict(), False
+                    return 200, svc.cancel(job_id).to_dict(), None
             except ServiceError as exc:
-                return 404, {"error": str(exc)}, False
-            return 405, {"error": f"{method} not allowed on {path}"}, False
+                return 404, {"error": str(exc)}, None
+            return 405, {"error": f"{method} not allowed on {path}"}, None
         if path == "/cluster/events" and method == "POST":
             spec = _json_body(body)
             if not isinstance(spec, dict):
@@ -189,7 +200,7 @@ class ServiceServer:
             out = await loop.run_in_executor(
                 None, svc.cluster_event,
                 str(spec.get("action", "")), str(spec.get("node", "")))
-            return 200, out, False
+            return 200, out, None
         if path == "/shard/drain" and method == "POST":
             spec = _json_body(body)
             if not isinstance(spec, dict):
@@ -198,14 +209,14 @@ class ServiceServer:
                 out = await loop.run_in_executor(
                     None, svc.drain_domain, str(spec.get("domain", "")))
             except ServiceError as exc:
-                return 400, {"error": str(exc)}, False
-            return 200, out, False
+                return 400, {"error": str(exc)}, None
+            return 200, out, None
         if path == "/drain" and method == "POST":
             # Settle state under the service lock for the response body;
             # the listener itself is torn down post-response.
             final = await loop.run_in_executor(None, svc.drain)
-            return 200, final, True
-        return 404, {"error": f"no route for {method} {path}"}, False
+            return 200, final, self.drain
+        return 404, {"error": f"no route for {method} {path}"}, None
 
 
 async def serve(service: SchedulerService, host: str = "127.0.0.1",

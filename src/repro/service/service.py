@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro import obs
 from repro.api import Scheduler
 from repro.cluster.cluster import Cluster
 from repro.core.queues import PriorityClass
@@ -105,6 +106,7 @@ class SchedulerService:
         self._epoch = self.clock.now()
         self._seq = 0
         self._cycles_run = 0
+        self._cycle_failures = 0
         self._accepting = True
         self._drained_stats: dict[str, Any] | None = None
 
@@ -294,8 +296,8 @@ class SchedulerService:
                     "drained": sorted(state.drained_nodes)}
 
     # -- cycles --------------------------------------------------------------
-    def run_one_cycle(self) -> CycleResult:
-        """Run one scheduling cycle at the current service time."""
+    def run_one_cycle(self, arrival: bool = False) -> CycleResult:
+        """One scheduling cycle (off-period if ``arrival``) at service time."""
         with self._lock:
             now = self.now()
             if self.auto_complete:
@@ -305,7 +307,7 @@ class SchedulerService:
                         self.scheduler.on_job_finished(rec.job_id, now)
                         rec.state = COMPLETED
                         rec.finished_at = now
-            result = self.scheduler.run_cycle(now)
+            result = self.scheduler.run_cycle(now, arrival=arrival)
             for alloc in result.allocations:
                 rec = self._jobs.get(alloc.job_id)
                 if rec is not None:
@@ -331,6 +333,11 @@ class SchedulerService:
             self._cycles_run += 1
             return result
 
+    def cycle_failed(self, cycle: str, exc: Exception) -> None:
+        """A ``"timer"`` / ``"arrival"`` cycle raised; its driver goes on."""
+        self._cycle_failures += 1
+        obs.emit("service.cycle_failed", cycle=cycle, error=repr(exc))
+
     def _finish_cancelled(self, job_ids: list[str]) -> None:
         for job_id in job_ids:
             rec = self._jobs.get(job_id)
@@ -348,6 +355,7 @@ class SchedulerService:
             "accepting": self._accepting,
             "now": self.now(),
             "cycles_run": self._cycles_run,
+            "cycle_failures": self._cycle_failures,
             "jobs": by_state,
             "pending": sched.pending_count,
             "utilization": sched.state.utilization(),
@@ -416,7 +424,8 @@ async def run_cycle_loop(service: SchedulerService,
 
     Cycles run in a worker thread (they hold the service lock and can
     solve MILPs for a while); the event loop stays free to serve HTTP and
-    accept cancellations mid-solve.  Returns the number of cycles run.
+    accept cancellations mid-solve.  A cycle that raises is recorded and
+    the timer carries on.  Returns the number of cycles run.
     """
     period = (cycle_s if cycle_s is not None
               else service.scheduler.config.cycle_s)
@@ -431,7 +440,10 @@ async def run_cycle_loop(service: SchedulerService,
             if stop.is_set():
                 sleeper.cancel()
                 break
-            await loop.run_in_executor(None, service.run_one_cycle)
+            try:
+                await loop.run_in_executor(None, service.run_one_cycle)
+            except Exception as exc:
+                service.cycle_failed("timer", exc)
             ran += 1
     finally:
         stopper.cancel()

@@ -20,7 +20,7 @@ from repro.api import Scheduler
 from repro.cluster.cluster import Cluster
 from repro.core.queues import PriorityClass
 from repro.core.scheduler import JobRequest, TetriSchedConfig
-from repro.sim.interface import ClusterScheduler, CycleDecisions
+from repro.sim.interface import CycleDecisions, Heartbeat
 from repro.sim.jobs import ElasticType, Job
 from repro.valuefn import (SLO_ACCEPTED_MULTIPLIER,
                            SLO_NO_RESERVATION_MULTIPLIER, GraceStepValue,
@@ -66,15 +66,25 @@ class TetriSchedAdapter:
         self.api = Scheduler.open(cluster, config)
         self.scheduler = self.api.core
         self.cycle_s = self.scheduler.config.cycle_s
+        self._heartbeat = Heartbeat(self.cycle_s)
         self._running: set[str] = set()
+        self._arrived: list[tuple[Job, bool]] = []
 
     # -- ClusterScheduler interface -----------------------------------------
     def submit(self, job: Job, accepted: bool, now: float) -> None:
-        self.scheduler.submit(request_from_job(
-            job, accepted, self.cluster, self.scheduler.config))
+        # Only recorded (the ack path); the next cycle() builds the request.
+        self._arrived.append((job, accepted))
+
+    def _hand_over(self) -> None:
+        for job, accepted in self._arrived:
+            self.scheduler.submit(request_from_job(
+                job, accepted, self.cluster, self.scheduler.config))
+        self._arrived.clear()
 
     def cycle(self, now: float) -> CycleDecisions:
-        result = self.scheduler.run_cycle(now)
+        self._hand_over()
+        result = self.scheduler.run_cycle(
+            now, arrival=self._heartbeat.off_period(now))
         self._running.update(a.job_id for a in result.allocations)
         self._running.difference_update(result.preempted)
         return CycleDecisions(allocations=result.allocations,
@@ -88,7 +98,8 @@ class TetriSchedAdapter:
 
     @property
     def active_jobs(self) -> int:
-        return self.scheduler.pending_count + len(self._running)
+        return (self.scheduler.pending_count + len(self._arrived)
+                + len(self._running))
 
     @property
     def cycle_history(self):
@@ -135,6 +146,7 @@ class ServiceAdapter:
                                         auto_complete=False)
         self.scheduler = self.service.scheduler
         self.cycle_s = self.scheduler.config.cycle_s
+        self._heartbeat = Heartbeat(self.cycle_s)
         self._running: set[str] = set()
 
     # -- ClusterScheduler interface -----------------------------------------
@@ -145,7 +157,8 @@ class ServiceAdapter:
 
     def cycle(self, now: float) -> CycleDecisions:
         self._clock._now = now
-        result = self.service.run_one_cycle()
+        result = self.service.run_one_cycle(
+            arrival=self._heartbeat.off_period(now))
         self._running.update(a.job_id for a in result.allocations)
         self._running.difference_update(result.preempted)
         self._running.difference_update(result.cancelled)

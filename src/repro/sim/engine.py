@@ -15,6 +15,8 @@ Flow per job:
    for decisions.  Launched jobs get a completion event at
    ``now + true_runtime(placement)`` — the ground truth the scheduler never
    sees directly.  Culled jobs are finalized as never-run (missed SLOs).
+   An arrival between two ticks is followed by one off-period call at the
+   same instant: the scheduler's chance to place on arrival.
 3. **Completion** — frees nodes, releases the reservation tail, records
    metrics.
 """
@@ -123,6 +125,9 @@ class Simulation:
         self._unfinalized = 0
         self._future_arrivals = 0
         self._cycles = 0
+        #: The timer's next cycle; the last off-period one an arrival pushed.
+        self._next_tick = 0.0
+        self._arrival_cycle_at = -1.0
         self._now = 0.0
 
     # -- main loop -------------------------------------------------------------
@@ -151,7 +156,7 @@ class Simulation:
             elif ev.kind == EventKind.JOB_FAILURE:
                 self._on_failure(ev.payload)
             else:
-                self._on_cycle()
+                self._on_cycle(periodic=ev.payload is None)
 
         if obs_before is not None:
             self.profile.merge_delta(
@@ -181,6 +186,11 @@ class Simulation:
                               detail="accepted" if accepted else
                               ("rejected" if job.is_slo else "best-effort"))
         self.scheduler.submit(job, accepted, self._now)
+        # One off-period cycle per arrival instant (kind priority fires it
+        # after the instant's other events), none when the tick is due now.
+        if self._now not in (self._next_tick, self._arrival_cycle_at):
+            self._arrival_cycle_at = self._now
+            self._events.push(self._now, EventKind.SCHEDULER_CYCLE, "arrival")
 
     def _on_completion(self, job_id: str) -> None:
         self._completion_events.pop(job_id, None)
@@ -230,8 +240,9 @@ class Simulation:
             self.jobs[job_id] = job
         self.scheduler.submit(job, self.rayon.is_accepted(job_id), self._now)
 
-    def _on_cycle(self) -> None:
-        self._cycles += 1
+    def _on_cycle(self, periodic: bool = True) -> None:
+        """Apply the decisions (``periodic``: counted, timed, re-arms)."""
+        self._cycles += periodic
         decisions = self.scheduler.cycle(self._now)
 
         for job_id in decisions.preempted:
@@ -308,20 +319,20 @@ class Simulation:
             if self.trace is not None:
                 self.trace.record(self._now, CULL, job_id)
 
-        self._profile_cycle(decisions)
-        if decisions.stats is not None:
+        self._profile_cycle(decisions, periodic)
+        if periodic and decisions.stats is not None:
             self.latency.record(decisions.stats.cycle_latency_s,
                                 decisions.stats.solver_latency_s)
 
         # Keep cycling while any job is still in flight.
-        if self._unfinalized > 0 and self._now < self.max_time_s:
-            self._events.push(self._now + self.scheduler.cycle_s,
-                              EventKind.SCHEDULER_CYCLE)
+        if periodic and self._unfinalized > 0 and self._now < self.max_time_s:
+            self._next_tick = self._now + self.scheduler.cycle_s
+            self._events.push(self._next_tick, EventKind.SCHEDULER_CYCLE)
 
-    def _profile_cycle(self, decisions) -> None:
+    def _profile_cycle(self, decisions, periodic: bool) -> None:
         """Fold one cycle's decisions into the run profile (cheap, always on)."""
         profile = self.profile
-        profile.bump("cycles")
+        profile.bump("cycles", periodic)
         stats = decisions.stats
         if stats is not None:
             profile.bump("solver.solves", stats.solves)

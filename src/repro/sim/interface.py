@@ -32,9 +32,29 @@ class CycleDecisions:
     stats: CycleStats | None = None
 
 
+class Heartbeat:
+    """Tells a scheduler's periodic ``cycle`` calls, which re-arm it, from the
+    off-period ones that come before the period is over.  Exact: the due time
+    is computed as the drivers compute their next tick, ``now + cycle_s``."""
+
+    def __init__(self, cycle_s: float) -> None:
+        self.cycle_s = cycle_s
+        self._due = float("-inf")
+
+    def off_period(self, now: float) -> bool:
+        if now < self._due:
+            return True
+        self._due = now + self.cycle_s
+        return False
+
+
 @runtime_checkable
 class ClusterScheduler(Protocol):
-    """Minimal contract between the simulator and a scheduler stack."""
+    """Minimal contract between the simulator and a scheduler stack.
+
+    ``cycle`` is also called off-period, at an arrival between two ticks; a
+    heartbeat scheduler answers that with an empty :class:`CycleDecisions`.
+    """
 
     name: str
     cycle_s: float

@@ -285,7 +285,9 @@ def test_audited_gs_het_simulation_runs_clean_with_the_fast_path_firing():
     adapter = TetriSchedAdapter(cluster, TetriSchedConfig.partial(
         rel_gap=0.02, audit_mode=True))
     result = Simulation(cluster, adapter, jobs).run()  # audit raises if not
-    solved = [s for s in adapter.cycle_history if "solve" in s.stage_timings]
+    # Cycles whose MILP was answered: an arrival cycle that misses the
+    # certificate runs ``Solve`` too, but answers no block (components 0).
+    solved = [s for s in adapter.cycle_history if s.components]
     booked = [s for s in solved if s.solves == 0]
     assert booked and len(booked) < len(solved)
     assert all(s.solver_nodes == 0 for s in booked)

@@ -80,12 +80,16 @@ def solver_decides(self):
 
 
 def cycle_digests(spec: RunSpec) -> list[dict]:
-    """Run ``spec``; one record per compiled cycle, in cycle order."""
+    """Run ``spec``; one record per compiled periodic cycle, in cycle order."""
     records: list[dict] = []
     original = stages.ModelBuild.run
 
     def recording_run(self, ctx):
         original(self, ctx)
+        if ctx.arrival:
+            # With booking off an arrival cycle always misses: it launches
+            # nothing, so the periodic cycles compile what they always did.
+            return
         compiled = ctx.compiled
         records.append({
             "digest": fingerprint_arrays(

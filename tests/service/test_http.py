@@ -83,7 +83,10 @@ class TestRoutes:
                     None, lambda: http(server.port, *args, **kw))
 
             await call("POST", "/jobs", dict(SPEC, job_id="a"))
-            await loop.run_in_executor(None, svc.run_one_cycle)
+            # The reply is followed by an arrival cycle, which books the
+            # job on the idle cluster; the timer (fake clock) never fires.
+            while svc._cycles_run < 1:
+                await asyncio.sleep(0.005)
             status, cycles = await call("GET", "/cycles")
             assert status == 200 and len(cycles["cycles"]) == 1
             assert cycles["cycles"][0]["launched"] == 1
@@ -142,4 +145,64 @@ class TestRoutes:
                 pass
             else:  # pragma: no cover - depends on socket teardown timing
                 pass
+        run(main())
+
+
+class TestArrivalCycle:
+    def test_posted_job_is_running_before_any_timer_tick(self):
+        """``POST /jobs`` replies ``pending``, then places on arrival."""
+        async def main():
+            svc = build_service()
+            server = await serve(svc)
+            loop = asyncio.get_running_loop()
+
+            def call(*args, **kw):
+                return loop.run_in_executor(
+                    None, lambda: http(server.port, *args, **kw))
+
+            svc.clock.advance(3.0)  # mid-period; the timer sleeps till 10
+            status, rec = await call("POST", "/jobs", dict(SPEC, job_id="a"))
+            assert status == 201 and rec["state"] == "pending"
+            while (await call("GET", "/jobs/a"))[1]["state"] == "pending":
+                await asyncio.sleep(0.005)
+            status, rec = await call("GET", "/jobs/a")
+            assert rec["state"] == "running"
+            assert (rec["started_at"] - rec["submitted_at"]
+                    < svc.config.cycle_s / 4)
+            assert (await call("GET", "/status"))[1]["cycles_run"] == 1
+            await server.drain()
+        run(main())
+
+    def test_a_failing_arrival_cycle_is_recorded_not_lost(self):
+        async def main():
+            svc = build_service()
+            server = await serve(svc)
+            loop = asyncio.get_running_loop()
+
+            def call(*args, **kw):
+                return loop.run_in_executor(
+                    None, lambda: http(server.port, *args, **kw))
+
+            real = svc.scheduler.run_cycle
+            calls = []
+
+            def raises_on_arrival(now, arrival=False):
+                calls.append(arrival)
+                if arrival:
+                    raise RuntimeError("boom")
+                return real(now)
+
+            svc.scheduler.run_cycle = raises_on_arrival
+            status, _ = await call("POST", "/jobs", dict(SPEC, job_id="a"))
+            assert status == 201
+            while not calls:
+                await asyncio.sleep(0.005)
+            while (await call("GET", "/status"))[1]["cycle_failures"] < 1:
+                await asyncio.sleep(0.005)
+            # The server carries on and the timer's cycle places the job.
+            await loop.run_in_executor(None, svc.run_one_cycle)
+            status, rec = await call("GET", "/jobs/a")
+            assert status == 200 and rec["state"] == "running"
+            assert calls == [True, False]
+            await server.drain()
         run(main())

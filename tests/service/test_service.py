@@ -4,11 +4,14 @@ import asyncio
 
 import pytest
 
+from repro import obs
 from repro.cluster import Cluster
 from repro.core import TetriSchedConfig
-from repro.errors import ServiceError
+from repro.errors import ServiceError, SolverError
+from repro.pipeline.driver import CyclePipeline
 from repro.service import (CANCELLED, COMPLETED, CULLED, PENDING, RUNNING,
                            FakeClock, SchedulerService, run_cycle_loop)
+from repro.verify.audit import check_ledger_orphans
 
 
 def build(clock=None, **kw):
@@ -204,6 +207,106 @@ class TestTimerLoop:
             stop.set()  # no clock.advance needed
             assert await asyncio.wait_for(task, timeout=5.0) == 0
         asyncio.run(main())
+
+
+class _RaisesOnce:
+    """A backend whose first solve blows up; later ones reach the real one."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.raised = False
+
+    def solve(self, model, options=None):
+        if not self.raised:
+            self.raised = True
+            raise SolverError("boom")
+        return self.inner.solve(model, options=options)
+
+
+class TestCycleFailures:
+    def test_timer_survives_a_cycle_that_raises(self):
+        """One bad cycle used to end ``run_cycle_loop`` for good."""
+        async def main():
+            clock = FakeClock()
+            cluster = Cluster.build(racks=1, nodes_per_rack=4)
+            svc = SchedulerService(cluster, TetriSchedConfig(
+                quantum_s=10.0, cycle_s=10.0, plan_ahead_s=40.0,
+                backend="pure", rel_gap=1e-6), clock=clock)
+            backend = svc.scheduler._backend = _RaisesOnce(
+                svc.scheduler._backend)
+            # Two gangs of three on four nodes: contended, so the backend
+            # (not direct booking) answers the cycle.
+            for job_id in ("a", "b"):
+                svc.submit_spec({"job_id": job_id, "deadline": 500.0,
+                                 "options": [{"k": 3, "duration_s": 20}]})
+            sink = obs.JsonlSink()
+            obs.set_enabled(True, sink=sink)
+            stop = asyncio.Event()
+            task = asyncio.create_task(run_cycle_loop(svc, stop))
+            try:
+                for _ in range(2):
+                    while clock.sleepers == 0:
+                        await asyncio.sleep(0.005)
+                    clock.advance(10.0)
+                while svc._cycles_run < 1:
+                    await asyncio.sleep(0.005)
+            finally:
+                stop.set()
+                ran = await asyncio.wait_for(task, timeout=10.0)
+                obs.set_enabled(False)
+            assert backend.raised and ran == 2
+            assert svc.status()["cycle_failures"] == 1
+            [event] = sink.of_kind("service.cycle_failed")
+            assert event["cycle"] == "timer" and "boom" in event["error"]
+            # The cycle after the failure placed one of the gangs.
+            assert sorted(svc.job(j).state for j in "ab") == [PENDING, RUNNING]
+        asyncio.run(main())
+
+
+class TestArrivalCycle:
+    def test_posted_job_runs_without_waiting_for_the_timer(self):
+        clock = FakeClock()
+        svc = build(clock)
+        clock.advance(3.0)
+        svc.submit_spec(dict(SPEC, job_id="a"))
+        result = svc.run_one_cycle(arrival=True)
+        assert [a.job_id for a in result.allocations] == ["a"]
+        rec = svc.job("a")
+        assert rec.state == RUNNING
+        assert rec.started_at - rec.submitted_at < svc.config.cycle_s / 4
+
+    def test_burst_waits_for_the_timer(self):
+        svc = build()
+        svc.submit_spec(dict(SPEC, job_id="a"))
+        svc.submit_spec(dict(SPEC, job_id="b"))  # same instant: a burst
+        assert not svc.run_one_cycle(arrival=True).allocations
+        assert len(svc.run_one_cycle().allocations) == 2
+
+    def test_cancel_racing_an_arrival_cycle_leaves_no_orphan(self):
+        svc = build(audit_mode=True)
+
+        class CancelAfterSolve:
+            """The DELETE lands while the arrival cycle holds the lock."""
+            name = "cancel-inject"
+
+            def run(self, ctx):
+                assert svc.cancel("a").state == PENDING  # lock busy: deferred
+
+        sched = svc.scheduler
+        stages = []
+        for stage in sched._global_pipeline.stages:
+            stages.append(stage)
+            if stage.name == "solve":
+                stages.append(CancelAfterSolve())
+        sched._global_pipeline = CyclePipeline(stages)
+
+        svc.submit_spec(dict(SPEC, job_id="a"))
+        result = svc.run_one_cycle(arrival=True)
+        assert result.cancelled == ["a"] and not result.allocations
+        assert svc.job("a").state == CANCELLED
+        assert not sched.state.is_running("a") and "a" not in sched._launched
+        assert not check_ledger_orphans(sched.state, sched._launched)
+        assert svc.drain()["clean"] is True
 
 
 class TestFakeClock:

@@ -16,11 +16,23 @@ def adapter():
         quantum_s=10, cycle_s=10, plan_ahead_s=40))
 
 
+def handed_over(adapter):
+    """The one request the scheduler holds once ``submit`` is handed over.
+
+    ``submit`` only records the job (the ack path); the request is built at
+    the top of the next ``cycle``.
+    """
+    assert not list(adapter.scheduler.queues.items())
+    adapter._hand_over()
+    (_, req), = adapter.scheduler.queues.items()
+    return req
+
+
 class TestSubmission:
     def test_accepted_slo_priority_and_value(self, adapter):
         job = Job("s", UN, 2, 20, 0.0, deadline=100.0)
         adapter.submit(job, accepted=True, now=0.0)
-        (job_id, req), = adapter.scheduler.queues.items()
+        req = handed_over(adapter)
         assert req.priority == PriorityClass.SLO_ACCEPTED
         assert req.value_fn(50.0) == 1000.0
         # Deadline grace: one quantum beyond the true deadline.
@@ -29,14 +41,14 @@ class TestSubmission:
     def test_rejected_slo_priority(self, adapter):
         job = Job("s", UN, 2, 20, 0.0, deadline=100.0)
         adapter.submit(job, accepted=False, now=0.0)
-        (_, req), = adapter.scheduler.queues.items()
+        req = handed_over(adapter)
         assert req.priority == PriorityClass.SLO_NO_RESERVATION
         assert req.value_fn(50.0) == 25.0
 
     def test_best_effort_priority_and_decay(self, adapter):
         job = Job("b", UN, 1, 20, 5.0)
         adapter.submit(job, accepted=False, now=5.0)
-        (_, req), = adapter.scheduler.queues.items()
+        req = handed_over(adapter)
         assert req.priority == PriorityClass.BEST_EFFORT
         assert req.deadline is None
         assert req.value_fn(5.0) > req.value_fn(500.0)
@@ -45,7 +57,7 @@ class TestSubmission:
         job = Job("g", GpuType(slowdown=2.0), 2, 20, 0.0, deadline=500.0,
                   estimate_error=0.5)
         adapter.submit(job, accepted=True, now=0.0)
-        (_, req), = adapter.scheduler.queues.items()
+        req = handed_over(adapter)
         durations = sorted(o.duration_s for o in req.options)
         assert durations == [30.0, 60.0]  # 20*1.5 and 20*2*1.5
 

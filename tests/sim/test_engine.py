@@ -50,8 +50,10 @@ class TestSimulationBasics:
         cluster = make_cluster()
         jobs = [Job("b", UN, k=1, base_runtime_s=20, submit_time=5.0)]
         res = Simulation(cluster, make_adapter(cluster), jobs).run()
-        # Arrives at 5, first cycle that sees it is t=10, runs 20s.
-        assert res.metrics.mean_be_latency_s == pytest.approx(25.0)
+        # Arrives at 5 on an idle cluster: placed on arrival (the arrival
+        # cycle books it; it no longer waits for the t=10 tick), runs 20s.
+        assert res.outcomes["b"].start_time == 5.0
+        assert res.metrics.mean_be_latency_s == pytest.approx(20.0)
 
     def test_simulation_terminates(self):
         cluster = make_cluster()
