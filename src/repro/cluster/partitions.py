@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import ClusterError
 
 
@@ -76,34 +78,50 @@ class Partitioning:
             bit = 1 << i
             for node in es:
                 signature[node] = signature.get(node, 0) | bit
-        groups: dict[int, list[str]] = {}
-        for node in universe:
-            groups.setdefault(signature.get(node, 0), []).append(node)
+        # Walking the nodes in name order numbers the groups by their
+        # smallest node and leaves each group's rows ascending.
+        order = sorted(universe)
+        groups: dict[int, list[int]] = {}
+        for row, node in enumerate(order):
+            groups.setdefault(signature.get(node, 0), []).append(row)
 
         self.partitions: list[Partition] = []
+        #: Per node, in name order (``ClusterState.node_order``): its pid.
+        self.node_pid = np.empty(len(order), dtype=np.int64)
+        #: Per partition: the name-order positions of its nodes, ascending.
+        self.rows: list[np.ndarray] = []
         pids_of: list[list[int]] = [[] for _ in eq_sets]
-        for sig, nodes in sorted(groups.items(), key=lambda kv: min(kv[1])):
-            pid = len(self.partitions)
-            self.partitions.append(Partition(pid, frozenset(nodes)))
+        for pid, (sig, rows) in enumerate(groups.items()):
+            self.partitions.append(
+                Partition(pid, frozenset(order[r] for r in rows)))
+            self.rows.append(np.array(rows, dtype=np.int64))
+            self.node_pid[rows] = pid
             for i in range(len(eq_sets)):
                 if sig >> i & 1:
                     pids_of[i].append(pid)
-        self._eqset_to_pids: dict[frozenset[str], tuple[int, ...]] = {
-            es: tuple(pids) for es, pids in zip(eq_sets, pids_of)}
+        self._parts = {
+            es: (tuple(pids), tuple(self.rows[p] for p in pids))
+            for es, pids in zip(eq_sets, pids_of)}
 
-    def partitions_of(self, equivalence_set: frozenset[str]) -> tuple[Partition, ...]:
-        """Partitions whose union is exactly the given equivalence set.
+    def parts_of(self, equivalence_set: frozenset[str]
+                 ) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+        """``(pids, rows)`` of the partitions, in ascending pid order, whose
+        union is exactly the given equivalence set.
 
         The set must have been passed at construction time — the partitioning
         is only minimal with respect to the declared family.
         """
         try:
-            pids = self._eqset_to_pids[equivalence_set]
+            return self._parts[equivalence_set]
         except KeyError:
             raise ClusterError(
                 "equivalence set was not declared when partitioning was built"
             ) from None
-        return tuple(self.partitions[p] for p in pids)
+
+    def partitions_of(self, equivalence_set: frozenset[str]) -> tuple[Partition, ...]:
+        """:meth:`parts_of` as :class:`Partition` objects."""
+        return tuple(self.partitions[p]
+                     for p in self.parts_of(equivalence_set)[0])
 
     @property
     def num_partitions(self) -> int:

@@ -13,15 +13,20 @@ feeds the MILP supply constraints ``sum(P in used(x,t)) <= avail(x, t)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
+from repro.cluster.partitions import Partitioning
 from repro.errors import ClusterError, SchedulerError
 
 #: Held-quanta value of a drained node: occupied at every horizon.
 HELD_FOREVER = np.iinfo(np.int64).max
+
+#: Partitionings :attr:`ClusterState.partitioning` keeps; a run asks for a
+#: handful of families (2 to 5 on the benchmark's workloads).
+PARTITIONINGS_KEPT = 8
 
 
 @dataclass
@@ -57,6 +62,14 @@ class ClusterState:
         self._allocations: dict[str, RunningAllocation] = {}
         self._node_owner: dict[str, str] = {}
         self._drained: set[str] = set()
+        #: Per node: its running job's expected release time, ``-inf`` while
+        #: free.  Maintained by start / finish / extend_expectation.
+        self._release = np.full(len(self.node_order), -np.inf)
+        #: Family of equivalence sets -> its minimal partitioning: a function
+        #: of universe and family alone (not of busy or drained nodes) that a
+        #: steady queue asks for cycle after cycle, so the last few are kept.
+        self.partitioning = lru_cache(PARTITIONINGS_KEPT)(
+            partial(Partitioning, universe))
         # (now, quantum_s) -> held vector, valid until the next mutation.
         self._held_key: tuple[float, float] | None = None
         self._held: np.ndarray | None = None
@@ -81,6 +94,10 @@ class ClusterState:
             job_id, nodes, start_time, expected_end)
         for n in nodes:
             self._node_owner[n] = job_id
+        self._expect(nodes, expected_end)
+
+    def _expect(self, nodes: frozenset[str], release: float) -> None:
+        self._release[self.node_indices(nodes)] = release
         self._held_key = None
 
     def finish(self, job_id: str) -> frozenset[str]:
@@ -90,7 +107,7 @@ class ClusterState:
             raise SchedulerError(f"job {job_id!r} is not running")
         for n in alloc.nodes:
             del self._node_owner[n]
-        self._held_key = None
+        self._expect(alloc.nodes, -np.inf)
         return alloc.nodes
 
     def extend_expectation(self, job_id: str, new_expected_end: float) -> None:
@@ -106,7 +123,7 @@ class ClusterState:
             raise SchedulerError(f"job {job_id!r} is not running")
         if new_expected_end > alloc.expected_end:
             alloc.expected_end = new_expected_end
-            self._held_key = None
+            self._expect(alloc.nodes, new_expected_end)
 
     # -- node lifecycle ------------------------------------------------------
     def drain(self, node: str) -> None:
@@ -162,13 +179,18 @@ class ClusterState:
         in the past) still hold their nodes for at least one quantum — the
         scheduler cannot place on top of a job that has not actually exited.
         """
-        out: dict[str, int] = {}
-        for alloc in self._allocations.values():
-            remaining = alloc.expected_end - now
-            quanta = max(1, math.ceil(remaining / quantum_s - 1e-9))
-            for n in alloc.nodes:
-                out[n] = max(out.get(n, 0), quanta)
-        return out
+        quanta = self._busy_quanta(now, quantum_s)
+        busy = np.flatnonzero(quanta)
+        return dict(zip(map(self.node_order.__getitem__, busy.tolist()),
+                        quanta[busy].tolist()))
+
+    def _busy_quanta(self, now: float, quantum_s: float) -> np.ndarray:
+        """:meth:`busy_quanta` per node in :attr:`node_order`, 0 where free:
+        ``max(1, ceil((release - now) / quantum_s - 1e-9))``."""
+        quanta = np.maximum(
+            np.ceil((self._release - now) / quantum_s - 1e-9), 1.0)
+        quanta[np.isneginf(self._release)] = 0.0
+        return quanta.astype(np.int64)
 
     def node_indices(self, nodes: frozenset[str]) -> np.ndarray:
         """Ascending :attr:`node_order` positions of ``nodes`` (name order)."""
@@ -189,12 +211,9 @@ class ClusterState:
         """
         key = (now, quantum_s)
         if self._held_key != key:
-            held = np.zeros(len(self.node_order), dtype=np.int64)
-            index = self._node_index
-            for node, quanta in self.busy_quanta(now, quantum_s).items():
-                held[index[node]] = quanta
+            held = self._busy_quanta(now, quantum_s)
             for node in self._drained:
-                held[index[node]] = HELD_FOREVER
+                held[self._node_index[node]] = HELD_FOREVER
             held.flags.writeable = False
             self._held, self._held_key = held, key
         return self._held
@@ -215,6 +234,19 @@ class ClusterState:
         released = np.bincount(np.minimum(held, horizon_quanta),
                                minlength=horizon_quanta + 1)
         return np.cumsum(released[:horizon_quanta]).tolist()
+
+    def availability_grid(self, partitioning: Partitioning,
+                          horizon_quanta: int, now: float,
+                          quantum_s: float) -> np.ndarray:
+        """:meth:`availability_profile` of every partition, one per row of a
+        ``partitions x horizon_quanta`` array: one grouped count over the
+        held vector instead of a node lookup per partition."""
+        width = horizon_quanta + 1
+        held = np.minimum(self.held_quanta(now, quantum_s), horizon_quanta)
+        released = np.bincount(partitioning.node_pid * width + held,
+                               minlength=partitioning.num_partitions * width)
+        return np.cumsum(released.reshape(-1, width)[:, :horizon_quanta],
+                         axis=1)
 
     def utilization(self) -> float:
         """Fraction of nodes currently held."""

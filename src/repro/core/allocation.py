@@ -66,19 +66,12 @@ class PlanAccumulator:
         self.now = now
         self.quantum_s = quantum_s
         self._state = state
+        self.partitioning = state.partitioning
         held = state.held_quanta(now, quantum_s)
         #: Out-of-service rows: occupied in every column, present or grown.
         self._drained = held == HELD_FOREVER
         width = max(32, int(held[~self._drained].max(initial=0)))
         self._occ = np.arange(width) < held[:, None]
-        self._rows: dict[frozenset[str], np.ndarray] = {}
-
-    def _rows_of(self, nodes: frozenset[str]) -> np.ndarray:
-        """Grid rows of a node group, ascending (= sorted by name)."""
-        rows = self._rows.get(nodes)
-        if rows is None:
-            rows = self._rows[nodes] = self._state.node_indices(nodes)
-        return rows
 
     def _window(self, rows: np.ndarray, start: int,
                 duration: int) -> np.ndarray:
@@ -93,10 +86,11 @@ class PlanAccumulator:
             self._occ = grown
         return self._occ[rows, start:end]
 
-    def _free_rows(self, nodes: frozenset[str], start: int,
-                   duration: int) -> np.ndarray:
-        """Rows of ``nodes`` free for the whole interval, ascending."""
-        rows = self._rows_of(nodes)
+    def free_rows(self, rows: np.ndarray, start: int,
+                  duration: int) -> np.ndarray:
+        """Those of ``rows`` (a partition's, ascending) free for the whole
+        interval.  Exposed to the STRL compiler so greedy-mode MILPs never
+        plan counts that node-level fragmentation would make unassignable."""
         return rows[~self._window(rows, start, duration).any(axis=1)]
 
     # -- availability-provider interface (mirrors ClusterState) -------------
@@ -105,8 +99,15 @@ class PlanAccumulator:
         """Free-node count per quantum, accounting for tentative plans."""
         if horizon_quanta <= 0:
             return []
-        busy = self._window(self._rows_of(nodes), 0, horizon_quanta)
+        busy = self._window(self._state.node_indices(nodes), 0, horizon_quanta)
         return (len(nodes) - busy.sum(axis=0)).tolist()
+
+    def availability_grid(self, partitioning: Partitioning,
+                          horizon_quanta: int, now: float,
+                          quantum_s: float) -> np.ndarray:
+        """:meth:`availability_profile` of every partition, one per row."""
+        free = ~self._window(slice(None), 0, horizon_quanta)
+        return np.stack([free[rows].sum(axis=0) for rows in partitioning.rows])
 
     # -- occupancy ------------------------------------------------------------
     def is_free(self, node: str, start: int, duration: int) -> bool:
@@ -118,17 +119,13 @@ class PlanAccumulator:
                           duration: int) -> list[str]:
         """Deterministically ordered nodes free for the whole interval."""
         order = self._state.node_order
-        return [order[r]
-                for r in self._free_rows(nodes, start, duration).tolist()]
+        rows = self.free_rows(self._state.node_indices(nodes), start, duration)
+        return [order[r] for r in rows.tolist()]
 
     def interval_free_count(self, nodes: frozenset[str], start: int,
                             duration: int) -> int:
-        """Number of nodes free for the *entire* interval.
-
-        Exposed to the STRL compiler so greedy-mode MILPs never plan counts
-        that node-level fragmentation would make unassignable.
-        """
-        return int(self._free_rows(nodes, start, duration).shape[0])
+        """Number of nodes free for the *entire* interval."""
+        return len(self.free_nodes_within(nodes, start, duration))
 
     def _flip(self, nodes: Iterable[str], start: int, duration: int,
               occupied: bool, complaint: str) -> None:
@@ -175,8 +172,7 @@ class PlanAccumulator:
         """
         chosen: list[np.ndarray] = []
         for pid, count in sorted(node_counts.items()):
-            free = self._free_rows(partitioning.partitions[pid].nodes,
-                                   start, duration)
+            free = self.free_rows(partitioning.rows[pid], start, duration)
             if len(free) < count:
                 raise SchedulerError(
                     f"partition {pid} has {len(free)} free nodes for "

@@ -26,10 +26,13 @@ objects.  ``gen`` appends every column (bound, domain), row (entries,
 sense), objective term and leaf-table entry it generates straight onto the
 list buffers of a :class:`JobFragment`, in a *local* (fragment-relative)
 column space; nothing builds a ``LinExpr``, a ``Variable`` or a
-``Constraint``.  :func:`assemble_batch` concatenates the fragments at their
-column offsets, derives the cross-job supply rows by one grouped sort over
-the leaf table (which doubles as the ``used(x, t)`` ledger) and wraps the
-resulting CSR export in an array-backed :class:`~repro.solver.model.Model`.
+``Constraint``.  :func:`assemble_batch` concatenates the fragments' columns
+and leaf tables at their column offsets and reads every partition's
+availability: all a cycle that books directly ever looks at.  The MILP — the
+cross-job supply rows, derived by one grouped sort over the leaf table (which
+doubles as the ``used(x, t)`` ledger), and the CSR export wrapped in an
+array-backed :class:`~repro.solver.model.Model` — is assembled the first
+time something reads :attr:`CompiledBatch.model`.
 
 The export is pinned bit for bit — column order, within-row coefficient
 order, bounds, right-hand sides, signed zeros — by
@@ -43,9 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
+from repro import obs
 from repro.cluster.partitions import Partitioning
 from repro.cluster.state import ClusterState
 from repro.errors import SchedulerError
@@ -176,9 +181,11 @@ class CompiledBatch:
     ``leaf_pid[e]`` — a partition variable with coefficient 1, or the
     leaf's own indicator with coefficient ``k`` where ``P == k * I`` was
     substituted (:meth:`StrlCompiler._leaves`).
+
+    Everything here was read from the cluster ledger when the batch was
+    compiled; nothing reads it again, whenever :attr:`model` is assembled.
     """
 
-    model: Model
     partitioning: Partitioning
     horizon: int
     job_order: list[str]
@@ -192,9 +199,15 @@ class CompiledBatch:
     leaf_pcol: np.ndarray
     leaf_pid: np.ndarray
     leaf_coef: np.ndarray
+    #: Per model column: upper bound (the lower bound is 0) and
+    #: maximize-sense objective coefficient.
+    col_ub: np.ndarray
+    objective: np.ndarray
+    _assemble: Callable[[], Model]
     #: ``avail(x, t)`` of every partition some leaf draws on: pid -> the
-    #: free-node count per quantum the supply rows were written against.
+    #: free-node count per quantum the supply rows are written against.
     availability: dict[int, np.ndarray] = field(default_factory=dict)
+    #: :meth:`Model.stats` of the cycle MILP, assembled or not.
     stats: dict[str, int] = field(default_factory=dict)
     #: Kill-decision column per preemption candidate.
     preemption_columns: dict[str, int] = field(default_factory=dict)
@@ -202,8 +215,26 @@ class CompiledBatch:
     resize_candidates: dict[str, ResizeCandidate] = field(default_factory=dict)
     #: Every job's fragment is flat (see :attr:`JobFragment.flat`).
     flat: bool = False
+    _model: Model | None = None
     _records: list[LeafRecord] | None = None
     _booking: tuple | None = None
+
+    @property
+    def model(self) -> Model:
+        """The cycle MILP, assembled the first time something reads it: a
+        backend, ``decompose``, the audit, a warm start's feasibility check.
+        A cycle that books directly hands it to nobody."""
+        if self._model is None:
+            self._model = self._assemble()
+        return self._model
+
+    @property
+    def assembled(self) -> bool:
+        return self._model is not None
+
+    def objective_value(self, x: np.ndarray) -> float:
+        """``model.objective_value(x)``, bit for bit, without the model."""
+        return float(self.objective @ x) + 0.0
 
     def job_of(self, leaf: int) -> str:
         """Job id owning row ``leaf`` of the leaf table."""
@@ -361,7 +392,7 @@ class CompiledBatch:
         if not self.flat or self.preemption_columns or self.resize_candidates:
             return None, None
         leaves, ptr = self.leaves, self.leaf_ptr
-        ub = self.model.to_sparse_arrays().ub
+        ub = self.col_ub
         supply = np.zeros((len(self.partitioning.partitions), self.horizon))
         for pid, profile in self.availability.items():
             supply[pid] = profile
@@ -395,7 +426,7 @@ class CompiledBatch:
                 ub[self.leaf_pcol[entries]] * self.leaf_coef[entries],
                 cells(grid, i).min(axis=1))
 
-        x = np.zeros(self.model.num_variables)
+        x = np.zeros(ub.shape[0])
         for j, job_id in enumerate(self.job_order):
             lost = None  # best leaf that fits the supply but not what is left
             for i in by_preference(j):
@@ -554,8 +585,9 @@ def _csr(lengths: np.ndarray, cols: np.ndarray, coefs: np.ndarray,
 class _Packed:
     """Fragment buffers concatenated at their column offsets.
 
-    Fragment ``k`` occupies columns ``offsets[k]:offsets[k+1]``; rows keep
-    fragment order and, within a fragment, emission order — which is the
+    Fragment ``k`` occupies columns ``offsets[k]:offsets[k+1]``.  Columns and
+    leaf table are packed on construction, rows only by :meth:`export`; they
+    keep fragment order and, within a fragment, emission order — which is the
     assembled model's constraint order, so splitting them by ``row_is_eq``
     yields the export's ``a_ub`` / ``a_eq`` blocks directly.
     """
@@ -567,10 +599,6 @@ class _Packed:
         self.ncols = int(self.offsets[-1])
         self.col_ub = _concat(fragments, "col_ub", float)
         self.col_domain = _concat(fragments, "col_domain", np.int8)
-        self.row_len = _concat(fragments, "row_len", np.int64)
-        self.row_is_eq = _concat(fragments, "row_is_eq", bool)
-        self.row_cols = self.shifted("row_cols")
-        self.row_coefs = _concat(fragments, "row_coefs", float)
         objective = np.zeros(self.ncols)
         objective[self.shifted("objective")] = np.fromiter(
             chain.from_iterable(f.objective.values() for f in fragments),
@@ -580,6 +608,11 @@ class _Packed:
         self.leaf_pcol = self.shifted("leaf_pcol")
         self.leaf_pid = _concat(fragments, "leaf_pid", np.int64)
         self.leaf_coef = _concat(fragments, "leaf_coef", float)
+        #: Per leaf-table entry: its leaf's interval.
+        self.entry_start = np.repeat(
+            _concat(fragments, "leaf_start", np.int64), self.leaf_parts)
+        self.entry_dur = np.repeat(
+            _concat(fragments, "leaf_duration", np.int64), self.leaf_parts)
 
     def shifted(self, attr: str) -> np.ndarray:
         """A local-column buffer of every fragment, in cycle columns."""
@@ -587,39 +620,58 @@ class _Packed:
         return (_concat(self.fragments, attr, np.int64)
                 + np.repeat(self.offsets[:-1], sizes))
 
-    def export(self, extra_ub: tuple[np.ndarray, ...] | None = None,
-               extra_objective: np.ndarray | None = None) -> SparseArrays:
-        """The CSR export: fragment rows, then ``extra_ub`` rows
-        ``(lengths, cols, coefs, rhs)``; fragment columns, then one binary
-        per (maximize-sense) ``extra_objective`` coefficient."""
-        if extra_objective is None:
-            extra_objective = np.zeros(0)
-        extra_cols = extra_objective.shape[0]
-        n = self.ncols + extra_cols
-        entry_eq = np.repeat(self.row_is_eq, self.row_len)
-        ub_len = self.row_len[~self.row_is_eq]
-        ub_cols, ub_coefs = self.row_cols[~entry_eq], self.row_coefs[~entry_eq]
+    def sizes(self, partitions: int, horizon: int) -> dict[str, int]:
+        """:meth:`Model.stats` of fragments plus supply rows, counted on the
+        leaf table: a row per distinct ``(partition, quantum)`` cell some
+        entry's interval covers, a nonzero per quantum covered."""
+        width, frags = horizon + 1, self.fragments
+        at = self.leaf_pid * width + self.entry_start
+        ends = np.bincount(at + self.entry_dur, minlength=partitions * width)
+        open_ = np.cumsum((np.bincount(at, minlength=ends.shape[0])
+                           - ends).reshape(-1, width), axis=1)
+        return {
+            "variables": self.ncols,
+            "integer_variables": int(np.count_nonzero(
+                self.col_domain != _CONTINUOUS)),
+            "binary_variables": int(np.count_nonzero(
+                self.col_domain == _BINARY)),
+            "constraints": sum(f.num_constraints for f in frags)
+            + int(np.count_nonzero(open_)),
+            "nonzeros": sum(len(f.row_cols) for f in frags)
+            + int(self.entry_dur.sum())}
+
+    def export(self, extra_ub: tuple[np.ndarray, ...],
+               col_ub: np.ndarray, objective: np.ndarray
+               ) -> tuple[SparseArrays, np.ndarray]:
+        """The CSR export and its per-row equality flags: fragment rows,
+        then the ``extra_ub`` rows ``(lengths, cols, coefs, rhs)``, over
+        columns with the given bounds and (maximize-sense) objective —
+        the fragments' and one binary per column beyond them."""
+        n, frags = col_ub.shape[0], self.fragments
+        row_len = _concat(frags, "row_len", np.int64)
+        row_is_eq = _concat(frags, "row_is_eq", bool)
+        row_cols = self.shifted("row_cols")
+        row_coefs = _concat(frags, "row_coefs", float)
+        entry_eq = np.repeat(row_is_eq, row_len)
+        lengths, cols, coefs, rhs = extra_ub
+        ub_len = np.concatenate([row_len[~row_is_eq], lengths])
         # Fragment rows read ``... <= 0`` / ``... == 0`` with the constant
         # moved across, i.e. a right-hand side of -(0.0).
-        b_ub = np.full(ub_len.shape[0], -0.0)
-        if extra_ub is not None:
-            lengths, cols, coefs, rhs = extra_ub
-            ub_len = np.concatenate([ub_len, lengths])
-            ub_cols = np.concatenate([ub_cols, cols])
-            ub_coefs = np.concatenate([ub_coefs, coefs])
-            b_ub = np.concatenate([b_ub, rhs])
-        eq_len = self.row_len[self.row_is_eq]
-        return SparseArrays(
-            c=-np.concatenate([self.objective, extra_objective]),
-            obj_constant=0.0, obj_sign=-1.0,
-            a_ub=_csr(ub_len, ub_cols, ub_coefs, n), b_ub=b_ub,
-            a_eq=_csr(eq_len, self.row_cols[entry_eq],
-                      self.row_coefs[entry_eq], n),
+        b_ub = np.concatenate([np.full(ub_len.shape[0] - rhs.shape[0], -0.0),
+                               rhs])
+        eq_len = row_len[row_is_eq]
+        arrays = SparseArrays(
+            c=-objective, obj_constant=0.0, obj_sign=-1.0,
+            a_ub=_csr(ub_len, np.concatenate([row_cols[~entry_eq], cols]),
+                      np.concatenate([row_coefs[~entry_eq], coefs]), n),
+            b_ub=b_ub,
+            a_eq=_csr(eq_len, row_cols[entry_eq], row_coefs[entry_eq], n),
             b_eq=np.full(eq_len.shape[0], -0.0),
-            lb=np.zeros(n),
-            ub=np.concatenate([self.col_ub, np.ones(extra_cols)]),
+            lb=np.zeros(n), ub=col_ub,
             integrality=np.concatenate([self.col_domain != _CONTINUOUS,
-                                        np.ones(extra_cols, dtype=bool)]))
+                                        np.ones(n - self.ncols, dtype=bool)]))
+        return arrays, np.concatenate(
+            [row_is_eq, np.zeros(lengths.shape[0], dtype=bool)])
 
 
 def _freed_entries(candidates: list[tuple[frozenset[str], int]],
@@ -654,11 +706,9 @@ def _freed_entries(candidates: list[tuple[frozenset[str], int]],
     return keys, cols, coefs
 
 
-def _supply_rows(packed: _Packed, partitioning: Partitioning, horizon: int,
-                 state, quantum_s: float, now: float,
-                 candidates: list[tuple[frozenset[str], int]]
-                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray,
-                            dict[int, np.ndarray]]:
+def _supply_rows(packed: _Packed, horizon: int, grid: np.ndarray,
+                 freed: tuple[list[int], list[int], list[float]] | None
+                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """``sum of P in used(x, t) <= avail(x, t)`` for every used ``(x, t)``.
 
     The used ledger is the leaf table: each (leaf, partition) entry, a
@@ -666,46 +716,34 @@ def _supply_rows(packed: _Packed, partitioning: Partitioning, horizon: int,
     the leaf's interval and the expansion is stably sorted by
     ``(partition, t)``.  Rows therefore come out in ascending
     ``(pid, t)`` order with coefficients in registration order (job order,
-    then leaf order, then partition order), followed by the supply
-    credits of ``candidates`` in candidate order.  Returns the rows as
-    ``(lengths, cols, coefs, rhs)``, their ``pid * horizon + t`` keys, and
-    the availability profile of every partition that got a row.
+    then leaf order, then partition order), followed by the ``freed``
+    supply credits (:func:`_freed_entries`) in candidate order.  Right-hand
+    sides are read off ``grid``, the ``partitions x horizon`` availability.
+    Returns the rows as ``(lengths, cols, coefs, rhs)`` and their
+    ``pid * horizon + t`` keys.
     """
-    frags, parts = packed.fragments, packed.leaf_parts
-    entry_start = np.repeat(_concat(frags, "leaf_start", np.int64), parts)
-    entry_dur = np.repeat(_concat(frags, "leaf_duration", np.int64), parts)
+    entry_dur = packed.entry_dur
     # Expand entry e into its quanta start[e] .. start[e] + dur[e] - 1.
     source = np.repeat(np.arange(entry_dur.shape[0]), entry_dur)
     first = np.cumsum(entry_dur) - entry_dur
-    t = np.arange(source.shape[0]) - first[source] + entry_start[source]
+    t = np.arange(source.shape[0]) - first[source] + packed.entry_start[source]
     keys = packed.leaf_pid[source] * horizon + t
     cols = packed.leaf_pcol[source]
     coefs = packed.leaf_coef[source]
-    if candidates:
-        f_keys, f_cols, f_coefs = _freed_entries(
-            candidates, partitioning, state, horizon, quantum_s, now)
-        f_keys = np.asarray(f_keys, dtype=np.int64)
+    if freed is not None:
+        f_keys = np.asarray(freed[0], dtype=np.int64)
         wanted = np.isin(f_keys, keys)  # credits only where someone draws
         keys = np.concatenate([keys, f_keys[wanted]])
         cols = np.concatenate(
-            [cols, np.asarray(f_cols, dtype=np.int64)[wanted]])
-        coefs = np.concatenate([coefs, np.asarray(f_coefs)[wanted]])
+            [cols, np.asarray(freed[1], dtype=np.int64)[wanted]])
+        coefs = np.concatenate([coefs, np.asarray(freed[2])[wanted]])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     row_keys = keys[starts]
     lengths = np.diff(starts, append=keys.shape[0])
-
-    row_pid, row_t = np.divmod(row_keys, horizon)
-    availability = {
-        pid: np.asarray(state.availability_profile(
-            partitioning.partitions[pid].nodes, horizon, now, quantum_s))
-        for pid in np.unique(row_pid).tolist()}
-    rhs = np.zeros(row_keys.shape[0])
-    for pid, profile in availability.items():
-        mine = row_pid == pid
-        rhs[mine] = profile[row_t[mine]]
-    return (lengths, cols[order], coefs[order], rhs), row_keys, availability
+    rhs = grid[np.divmod(row_keys, horizon)].astype(float)
+    return (lengths, cols[order], coefs[order], rhs), row_keys
 
 
 def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
@@ -716,14 +754,20 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
                    ) -> CompiledBatch:
     """Assemble compiled job fragments into one cycle :class:`CompiledBatch`.
 
-    Assembly is concatenation: fragment buffers land at their column
-    offsets (:class:`_Packed`), and the part that depends on cluster
-    availability is appended — the supply rows (:func:`_supply_rows`) and
-    one binary kill-decision column per ``preemptible`` candidate.
-    ``resizable`` entries add no columns: each candidate's fragment root
-    indicator doubles as the release decision, freeing the job's
-    currently-held nodes in every supply row they appear in.
+    Columns and leaf tables land at their column offsets
+    (:class:`_Packed`), next to one binary kill-decision column per
+    ``preemptible`` candidate, and everything that depends on the cluster
+    is read here: every partition's availability, the candidates' supply
+    credits.  ``resizable`` entries add no columns: each candidate's
+    fragment root indicator doubles as the release decision, freeing the
+    job's currently-held nodes in every supply row they appear in.
+
+    The model — fragment rows, supply rows (:func:`_supply_rows`), CSR
+    export — is built from that by the first read of
+    :attr:`CompiledBatch.model`; at once for a batch with candidates, which
+    cannot book directly and whose size depends on the credits.
     """
+    obs.count("scheduler.model.compiled")
     preemptible = preemptible or []
     resizable = resizable or []
     packed = _Packed(fragments)
@@ -759,46 +803,52 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
             coeffs[root] = coeffs.get(root, 0.0) + 1.0
             commit_rows[cand.job_id] = coeffs
 
-    (lengths, cols, coefs, rhs), supply_keys, availability = _supply_rows(
-        packed, partitioning, horizon, state, quantum_s, now, candidates)
-    if commit_rows:
-        lengths = np.concatenate(
-            [[len(row) for row in commit_rows.values()], lengths])
-        cols = np.concatenate(
-            [np.fromiter(chain.from_iterable(commit_rows.values()), np.int64),
-             cols])
-        coefs = np.concatenate(
-            [np.fromiter(chain.from_iterable(
-                row.values() for row in commit_rows.values()), float), coefs])
-        rhs = np.concatenate([np.zeros(len(commit_rows)), rhs])
-    arrays = packed.export(
-        extra_ub=(lengths, cols, coefs, rhs),
-        # Maximize-sense coefficient of a kill decision is -penalty.
-        extra_objective=np.array([-float(cand.penalty)
-                                  for cand in preemptible]))
+    grid = state.availability_grid(partitioning, horizon, now, quantum_s)
+    freed = (_freed_entries(candidates, partitioning, state, horizon,
+                            quantum_s, now) if candidates else None)
+    col_ub = np.concatenate([packed.col_ub, np.ones(len(preemptible))])
+    # Maximize-sense coefficient of a kill decision is -penalty.
+    objective = np.concatenate([packed.objective, np.array(
+        [-float(cand.penalty) for cand in preemptible])])
 
-    def col_names() -> list[str]:
-        return (list(chain.from_iterable(f.column_names() for f in fragments))
+    def assemble() -> Model:
+        obs.count("scheduler.model.assembled")
+        (lengths, cols, coefs, rhs), supply_keys = _supply_rows(
+            packed, horizon, grid, freed)
+        if commit_rows:
+            lengths = np.concatenate(
+                [[len(row) for row in commit_rows.values()], lengths])
+            cols = np.concatenate([np.fromiter(chain.from_iterable(
+                commit_rows.values()), np.int64), cols])
+            coefs = np.concatenate([np.fromiter(chain.from_iterable(
+                row.values() for row in commit_rows.values()), float), coefs])
+            rhs = np.concatenate([np.zeros(len(commit_rows)), rhs])
+        arrays, row_is_eq = packed.export((lengths, cols, coefs, rhs),
+                                          col_ub, objective)
+
+        def col_names() -> list[str]:
+            return (list(chain.from_iterable(
+                f.column_names() for f in fragments))
                 + [f"R[{cand.job_id}]" for cand in preemptible])
 
-    def row_names() -> list[str]:
-        return (list(chain.from_iterable(f.row_names() for f in fragments))
-                + [f"resize-commit[{job_id}]" for job_id in commit_rows]
-                + [f"supply[p{key // horizon},t{key % horizon}]"
-                   for key in supply_keys.tolist()])
+        def row_names() -> list[str]:
+            return (list(chain.from_iterable(f.row_names() for f in fragments))
+                    + [f"resize-commit[{job_id}]" for job_id in commit_rows]
+                    + [f"supply[p{key // horizon},t{key % horizon}]"
+                       for key in supply_keys.tolist()])
 
-    model = Model.from_arrays("tetrisched-cycle", arrays, ArrayLayout(
-        domains=np.concatenate(
-            [packed.col_domain,
-             np.full(len(preemptible), _BINARY, dtype=np.int8)]),
-        row_is_eq=np.concatenate(
-            [packed.row_is_eq, np.zeros(lengths.shape[0], dtype=bool)]),
-        col_names=col_names, row_names=row_names))
+        return Model.from_arrays("tetrisched-cycle", arrays, ArrayLayout(
+            domains=np.concatenate(
+                [packed.col_domain,
+                 np.full(len(preemptible), _BINARY, dtype=np.int8)]),
+            row_is_eq=row_is_eq, col_names=col_names, row_names=row_names))
+
     leaf_counts = [len(frag.leaves) for frag in fragments]
     leaf_ptr = np.zeros(sum(leaf_counts) + 1, dtype=np.int64)
     np.cumsum(packed.leaf_parts, out=leaf_ptr[1:])
+    model = assemble() if candidates else None
     return CompiledBatch(
-        model=model, partitioning=partitioning, horizon=horizon,
+        partitioning=partitioning, horizon=horizon,
         job_order=[frag.job_id for frag in fragments],
         job_columns=job_columns,
         leaves=list(chain.from_iterable(f.leaves for f in fragments)),
@@ -808,10 +858,14 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
         leaf_is_nck=_concat(fragments, "leaf_is_nck", bool),
         leaf_ptr=leaf_ptr, leaf_pcol=packed.leaf_pcol,
         leaf_pid=packed.leaf_pid, leaf_coef=packed.leaf_coef,
-        availability=availability, stats=model.stats(),
+        col_ub=col_ub, objective=objective, _assemble=assemble,
+        availability={pid: grid[pid]
+                      for pid in np.unique(packed.leaf_pid).tolist()},
+        stats=(model.stats() if candidates else packed.sizes(
+            len(partitioning.partitions), horizon)),
         preemption_columns=preemption_columns,
         resize_candidates={cand.job_id: cand for cand in active_resizes},
-        flat=all(frag.flat for frag in fragments))
+        flat=all(frag.flat for frag in fragments), _model=model)
 
 
 def _merge(acc: dict[int, float], terms: dict[int, float]) -> dict[int, float]:
@@ -869,7 +923,6 @@ class StrlCompiler:
         #: disabling the paper's dynamic-partitioning optimization (TR
         #: Appendix A).  Schedules are identical; MILPs are much larger.
         self.minimal_partitioning = minimal_partitioning
-        self._partitioning: Partitioning | None = None
 
     def compile(self, batch: list[tuple[str, StrlNode]],
                 preemptible: list[PreemptionCandidate] | None = None,
@@ -908,14 +961,15 @@ class StrlCompiler:
                               preemptible=preemptible, resizable=resizable)
 
     def build_partitioning(self, exprs: list[StrlNode]) -> Partitioning:
-        """Dynamic minimal partitioning over a batch's equivalence sets."""
-        eq_sets = list(_equivalence_sets(exprs, {}))
+        """Dynamic minimal partitioning over a batch's equivalence sets:
+        the cycle before's, when it referenced the same family of sets."""
+        eq_sets = _equivalence_sets(exprs, {})
         if self.minimal_partitioning:
-            return Partitioning(self.state.universe, eq_sets)
+            return self.state.partitioning(frozenset(eq_sets))
         # Ablation: singleton partitions (one integer variable per node
         # per leaf) — the naive formulation the paper optimizes away.
         singletons = [frozenset({n}) for n in self.state.universe]
-        return Partitioning(self.state.universe, eq_sets + singletons)
+        return Partitioning(self.state.universe, [*eq_sets, *singletons])
 
     def compile_fragment(self, job_id: str, expr: StrlNode,
                          partitioning: Partitioning) -> JobFragment:
@@ -926,16 +980,13 @@ class StrlCompiler:
         appended where it is generated.  Nothing here reads cluster
         availability or ``now``.
         """
-        if partitioning is not self._partitioning:
-            self._partitioning = partitioning
-            #: Equivalence set -> (pids, capacities, node sets), ascending pid.
-            self._parts: dict[frozenset[str], tuple] = {}
+        self._partitioning = partitioning
         # When the availability provider knows about node-level fragmentation
         # (the greedy mode's PlanAccumulator), each partition variable is
         # capped by the number of nodes free for the leaf's *whole* interval.
         # Per-slice supply alone can overestimate capacity once tentative
         # reservations create non-prefix busy intervals.
-        self._interval_cap = getattr(self.state, "interval_free_count", None)
+        self._free_rows = getattr(self.state, "free_rows", None)
         frag = self._frag = JobFragment(job_id)
         # Job-scoped naming: the counter restarts per fragment and names
         # embed the job id, so names are unique across any batch and
@@ -970,17 +1021,6 @@ class StrlCompiler:
         frag.row_cols.extend(terms)
         frag.row_coefs.extend(terms.values())
 
-    def _parts_of(self, nodes: frozenset[str]) -> tuple:
-        """(pids, capacities, node sets) of an equivalence set's partitions."""
-        parts = self._parts.get(nodes)
-        if parts is None:
-            found = self._partitioning.partitions_of(nodes)
-            parts = self._parts[nodes] = (
-                tuple(p.pid for p in found),
-                tuple(p.capacity for p in found),
-                tuple(p.nodes for p in found))
-        return parts
-
     def _leaves(self, run: tuple[NCk | LnCk, ...],
                 indicator: int | None = None,
                 bounds: list[list[float]] | None = None,
@@ -1012,15 +1052,15 @@ class StrlCompiler:
         """
         frag = self._frag
         is_nck = type(run[0]) is NCk
-        pids, capacities, node_sets = self._parts_of(run[0].nodes)
+        pids, part_rows = self._partitioning.parts_of(run[0].nodes)
         r, m, k = len(run), len(pids), run[0].k
         own = indicator is None
-        if bounds is None and self._interval_cap is None:
-            bounds = [[float(min(k, cap))] * r for cap in capacities]
+        if bounds is None and self._free_rows is None:
+            bounds = [[float(min(k, len(rows)))] * r for rows in part_rows]
         elif bounds is None:
-            bounds = [[float(min(k, cap, self._interval_cap(
-                nodes, leaf.start, leaf.duration))) for leaf in run]
-                for cap, nodes in zip(capacities, node_sets)]
+            bounds = [[float(min(k, len(self._free_rows(
+                rows, leaf.start, leaf.duration)))) for leaf in run]
+                for rows in part_rows]
         identity = own and is_nck and m == 1
         fits = [identity and bound >= k for bound in bounds[0]]
         if any(fits) and not all(fits):  # an interval cap split the run

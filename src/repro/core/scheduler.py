@@ -1091,7 +1091,7 @@ class TetriSched:
         # supply rows were written against, drawn down as leaves refill.
         remaining = {pid: profile.copy()
                      for pid, profile in compiled.availability.items()}
-        upper = compiled.model.to_sparse_arrays().ub
+        upper = compiled.col_ub
 
         # Index compiled leaves by (job, eq-set, start, duration).
         by_key: dict[tuple, int] = {}
@@ -1100,7 +1100,7 @@ class TetriSched:
                                leaf.start, leaf.duration), i)
         job_index = {job_id: j for j, job_id in enumerate(compiled.job_order)}
 
-        x = np.zeros(compiled.model.num_variables)
+        x = np.zeros(upper.shape[0])
         used_any = False
         for job_id, leaf in self._prev_plan:
             new_start = leaf.start - elapsed_q

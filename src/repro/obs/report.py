@@ -64,7 +64,8 @@ _HEADLINE_COUNTERS = (
 )
 
 #: Counters a line of their own reports (kept out of "Other counters").
-_DERIVED_COUNTERS = ("scheduler.solve_cycles", "scheduler.direct_booked")
+_DERIVED_COUNTERS = ("scheduler.solve_cycles", "scheduler.direct_booked",
+                     "scheduler.model.compiled", "scheduler.model.assembled")
 _ARRIVAL = "scheduler.arrival_cycle."  # one counter per outcome
 
 
@@ -91,6 +92,11 @@ def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
                    f"{profile.counter('scheduler.direct_booked'):.0f} of "
                    f"{profile.counter('scheduler.solve_cycles'):.0f} cycles "
                    "(no solver invocation: every job got its best option)"]
+    if "scheduler.model.compiled" in profile.counters:  # obs was on
+        blocks += ["assembled "
+                   f"{profile.counter('scheduler.model.assembled'):.0f} of "
+                   f"{profile.counter('scheduler.model.compiled'):.0f} cycle "
+                   "MILPs (the others were compiled and read by nobody)"]
     arrivals = sorted(n for n in profile.counters if n.startswith(_ARRIVAL))
     if arrivals:
         blocks += ["arrival cycles (off-period, solver-free): " + ", ".join(

@@ -115,24 +115,23 @@ class Compilation:
 
 
 class ModelBuild:
-    """Force the model's sparse export and build the warm start.
+    """Assemble the model a solver will be handed, and build the warm start.
 
-    The CSR triplets are cached on the model, so the solver stage reuses
-    them for free; materializing here makes export cost a visible line in
-    the per-stage timings rather than noise inside ``solve``.
+    The batch assembles its MILP on first read and keeps it: reading it here
+    makes that a visible line in the per-stage timings, not noise inside
+    ``solve``.  A cycle that books directly (``solve_batch`` reuses the
+    attempt) or an arrival cycle hands it to nobody and does not read it.
     """
 
     name = StageName.MODEL_BUILD
 
     def run(self, ctx: "CycleContext") -> None:
         sched = ctx.scheduler
-        assert ctx.compiled is not None
-        sp = ctx.compiled.model.to_sparse_arrays()
-        ctx.nnz = sp.nnz
-        obs.emit("scheduler.model_build",
-                 variables=ctx.compiled.model.num_variables,
-                 constraints=ctx.compiled.model.num_constraints,
-                 nnz=ctx.nnz)
+        compiled = ctx.compiled
+        assert compiled is not None
+        if not ctx.arrival and compiled.book_directly()[0] is None:
+            compiled.model.to_sparse_arrays()
+        ctx.nnz = compiled.stats["nonzeros"]
         if sched._warm_start_wanted and not ctx.arrival:
             ctx.telemetry.warm_start_attempted = True
             with obs.span("warm_start"):
@@ -141,6 +140,10 @@ class ModelBuild:
             # folds it into the run profile), not the obs registry, so the
             # two layers never double-count.
             ctx.telemetry.warm_start_hit = ctx.warm_start is not None
+        obs.emit("scheduler.model_build",
+                 variables=compiled.stats["variables"],
+                 constraints=compiled.stats["constraints"],
+                 nnz=ctx.nnz, assembled=compiled.assembled)
 
 
 class Decompose:
@@ -185,7 +188,7 @@ def solve_batch(sched: "TetriSched", compiled: "CompiledBatch",
     x, miss = compiled.book_directly()
     if x is not None:
         obs.count("scheduler.direct_booking.booked")
-        objective = compiled.model.objective_value(x)
+        objective = compiled.objective_value(x)
         return MILPResult(SolveStatus.OPTIMAL, x, objective, bound=objective,
                           gap=0.0, stats={"direct_booking": 1})
     if miss is not None:
@@ -236,9 +239,9 @@ class Solve:
             # Arrival cycle, certificate missed: no block answered; the empty
             # plan (always feasible) is extracted and audited like any result.
             ctx.components = 0
-            x = np.zeros(ctx.compiled.model.num_variables)
+            x = np.zeros(ctx.compiled.stats["variables"])
             ctx.solution = MILPResult(
-                SolveStatus.FEASIBLE, x, ctx.compiled.model.objective_value(x))
+                SolveStatus.FEASIBLE, x, ctx.compiled.objective_value(x))
             return
         tel.absorb(res)
         if not res.status.has_solution:

@@ -380,8 +380,9 @@ class SchedulerService:
 
     def cycles(self, limit: int = 20) -> list[dict[str, Any]]:
         """The most recent cycles' stats records, oldest first."""
-        history = self.scheduler.cycle_history[-max(0, limit):]
-        return [dict(vars(stats)) for stats in history]
+        history = self.scheduler.cycle_history
+        return [dict(vars(stats))
+                for stats in history[max(0, len(history) - limit):]]
 
     # -- drain ---------------------------------------------------------------
     def drain(self) -> dict[str, Any]:

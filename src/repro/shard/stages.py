@@ -90,7 +90,8 @@ class DomainModelBuild:
             ctx.nnz += sp.nnz
         obs.emit("scheduler.model_build",
                  variables=ctx.telemetry.milp_variables,
-                 constraints=ctx.telemetry.milp_constraints, nnz=ctx.nnz)
+                 constraints=ctx.telemetry.milp_constraints, nnz=ctx.nnz,
+                 assembled=True)
         if sched._warm_start_wanted:
             ctx.telemetry.warm_start_attempted = True
             with obs.span("warm_start"):

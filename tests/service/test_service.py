@@ -155,6 +155,18 @@ class TestLifecycle:
         svc.run_one_cycle()
         assert svc.status()["cycles_run"] == 1
 
+    def test_cycles_returns_the_last_limit_records(self):
+        svc = build()
+        for job_id in "abc":
+            svc.submit_spec(dict(SPEC, job_id=job_id))
+            svc.run_one_cycle()
+        history = svc.scheduler.cycle_history
+        assert len(history) >= 3
+        assert svc.cycles(limit=0) == []  # was the whole history: [-0:]
+        assert svc.cycles(limit=-1) == []
+        assert svc.cycles(limit=2) == [dict(vars(s)) for s in history[-2:]]
+        assert len(svc.cycles(limit=len(history) + 5)) == len(history)
+
 
 class TestDrain:
     def test_drain_rejects_new_work_and_persists(self, tmp_path):
