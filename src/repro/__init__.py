@@ -48,32 +48,28 @@ from repro.pipeline import (CyclePipeline, StageName, global_pipeline,
                             greedy_pipeline)
 from repro.reservation import RayonReservationSystem
 from repro.service import SchedulerService, ServiceServer
-from repro.shard import (DomainCoordinator, DomainPartitioner,
-                         SchedulingDomain)
 from repro.sim import (GpuType, Job, MpiType, ServiceAdapter, Simulation,
                        SimulationResult, TetriSchedAdapter,
                        UnconstrainedType)
-from repro.solver import (ComponentCache, Model, SolveOptions, SolveStatus,
-                          make_backend)
+from repro.solver import Model, SolveOptions, SolveStatus, make_backend
 from repro.strl import (Barrier, LnCk, Max, Min, NCk, Scale, SpaceOption,
                         Sum, parse, to_text)
 from repro.valuefn import best_effort_value, slo_value
 from repro.verify import (AuditReport, AuditViolation, CertificateReport,
-                          audit_cycle, audit_sharded, check_certificate)
+                          audit_cycle, check_certificate)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Allocation", "AuditReport", "AuditViolation", "Barrier",
-    "CertificateReport", "Cluster", "ClusterState", "ComponentCache",
-    "CyclePipeline", "DomainCoordinator", "DomainPartitioner", "GpuType",
-    "Job", "JobRequest", "LnCk", "Max", "Min", "Model", "MpiType", "NCk",
-    "Node", "PriorityClass", "RayonReservationSystem", "Scale", "Scheduler",
-    "SchedulerService", "SchedulingDomain", "ServiceAdapter", "ServiceServer",
+    "CertificateReport", "Cluster", "ClusterState", "CyclePipeline",
+    "GpuType", "Job", "JobRequest", "LnCk", "Max", "Min", "Model", "MpiType",
+    "NCk", "Node", "PriorityClass", "RayonReservationSystem", "Scale",
+    "Scheduler", "SchedulerService", "ServiceAdapter", "ServiceServer",
     "Simulation", "SimulationResult", "SolveOptions", "SolveStatus",
     "SpaceOption", "StageName", "StrlCompiler", "Sum", "TetriSched",
     "TetriSchedAdapter", "TetriSchedConfig", "UnconstrainedType",
-    "audit_cycle", "audit_sharded", "best_effort_value", "check_certificate",
+    "audit_cycle", "best_effort_value", "check_certificate",
     "global_pipeline", "greedy_pipeline", "make_backend", "parse",
     "slo_value", "to_text",
 ]

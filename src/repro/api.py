@@ -19,9 +19,9 @@ or a compact topology spec string (``"8x32"`` = 8 racks of 32 nodes,
 the documented defaults and the merged config is validated up front
 (:func:`~repro.core.scheduler.resolve_config`).
 
-Direct ``TetriSched(...)`` construction keeps working for one release
-behind a ``DeprecationWarning``; everything else in the repo constructs
-through this facade.
+``open`` calls the one ``TetriSched(cluster, config)`` constructor; the
+facade adds the spec-string parsing, the self-advancing clock and the
+close/use-after-close contract on top of it.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class Scheduler:
         """
         if isinstance(cluster, str):
             cluster = _parse_cluster_spec(cluster)
-        return cls(TetriSched._from_api(cluster, config))
+        return cls(TetriSched(cluster, config))
 
     # -- the underlying pieces ----------------------------------------------
     @property

@@ -26,8 +26,8 @@ Commands
 ``fuzz``
     Differential fuzzing: generate seeded random cluster/workload
     instances, solve each under every solver configuration (pure dense /
-    sparse / decomposed / parallel / cached, plus the scipy mirrors when
-    available), and assert the :mod:`repro.verify` oracles accept every
+    sparse / decomposed, plus the scipy mirrors when available), and
+    assert the :mod:`repro.verify` oracles accept every
     result and all objectives agree.  Failures shrink to a JSON seed
     file replayable with ``--replay``.
 """
@@ -147,13 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scheduling-cycle period in wall seconds "
                               "(default: one quantum)")
     p_serve.add_argument("--backend", default="auto")
-    p_serve.add_argument("--shard-mode", default="off",
-                         choices=["off", "racks", "auto"],
-                         help="sharded multi-domain scheduling mode")
-    p_serve.add_argument("--shard-count", type=int, default=0,
-                         help="scheduling domains (0 = one per 4 racks)")
-    p_serve.add_argument("--seed", type=int, default=0,
-                         help="RNG seed (domain tie-breaks, dispatch order)")
     p_serve.add_argument("--stats", default=None,
                          help="write final drain stats JSON here")
     p_serve.add_argument("--smoke", action="store_true",
@@ -407,9 +400,7 @@ def _cmd_serve(args) -> int:
     cluster = args.cluster.build()
     cfg = TetriSchedConfig(
         quantum_s=args.quantum, cycle_s=args.cycle or args.quantum,
-        plan_ahead_s=args.plan_ahead, backend=args.backend,
-        shard_mode=args.shard_mode, shard_count=args.shard_count,
-        seed=args.seed)
+        plan_ahead_s=args.plan_ahead, backend=args.backend)
     stats = pathlib.Path(args.stats) if args.stats else None
     service = SchedulerService(cluster, cfg, stats_path=stats)
     if args.smoke:

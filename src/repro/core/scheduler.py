@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ from repro.pipeline.context import CycleContext
 from repro.pipeline.driver import global_pipeline, greedy_pipeline
 from repro.solver.backend import make_backend
 from repro.solver.options import UNSET, SolveOptions, is_set
-from repro.solver.parallel import ComponentCache
 from repro.strl.ast import Max, NCk, StrlNode
 from repro.strl.generator import (DEFAULT_EARLINESS_BIAS, SpaceOption,
                                   generate_elastic_strl, generate_job_strl,
@@ -62,7 +60,6 @@ from repro.valuefn import ValueFunction
 
 #: Valid values of the mode-style config fields (``config.validate()``).
 SOLVE_MODES = ("exact", "repair", "auto")
-SHARD_MODES = ("off", "racks", "auto")
 
 #: Burst guard: an arrival less than this fraction of ``cycle_s`` after the
 #: one before it is left to the periodic cycle.  125 ms at 4 s, a decade from
@@ -132,13 +129,6 @@ class TetriSchedConfig:
     solve_mode: str = "exact"
     #: Audited-gap ceiling before ``"auto"`` escalates to exact search.
     repair_gap_threshold: float = 0.05
-    #: Worker processes for solving decomposed MILP components concurrently
-    #: (0/1 = sequential in-process).  See :mod:`repro.solver.parallel`.
-    solver_workers: int = 0
-    #: Memoize per-component solver results across cycles keyed by a
-    #: canonical model fingerprint; exact hits replay the cached result,
-    #: structural near-misses donate a warm-start seed (Sec. 3.2.2).
-    component_cache: bool = False
     #: Seed each solve with the previous cycle's shifted solution.
     warm_start: bool = True
     #: Split the cycle MILP into independent connected components and solve
@@ -158,9 +148,7 @@ class TetriSchedConfig:
     #: jobs re-enter every global cycle with supply-neutral keep,
     #: quanta-releasing shrink, and penalty-charged grow options, letting
     #: the MILP trade a running gang's width against everything else it
-    #: could do with those nodes.  Requires ``global_scheduling``; under
-    #: sharding only the pending-side ladders apply (resizes need the
-    #: monolithic batch).
+    #: could do with those nodes.  Requires ``global_scheduling``.
     elastic_mode: bool = False
     #: Objective penalty per grow reconfiguration (analogous to
     #: ``preemption_penalty``): widening a running gang forces a restart /
@@ -192,27 +180,6 @@ class TetriSchedConfig:
     #: ``O(nonzeros)`` pass per cycle; intended for tests, benchmarks,
     #: and fig-scale regression tripwires rather than production runs.
     audit_mode: bool = False
-    #: Sharded multi-domain scheduling (``off`` | ``racks`` | ``auto``).
-    #: With ``racks``, the cluster is partitioned into rack-aligned
-    #: scheduling domains (:mod:`repro.shard`): each cycle assigns jobs to
-    #: domains (affinity-aware, load-balanced, seeded tie-break), compiles
-    #: and solves one MILP per domain concurrently on the worker pool, and
-    #: reconciles cross-domain gangs through a small coupling model over
-    #: the boundary jobs.  ``auto`` enables sharding once the cluster is
-    #: large enough for one monolithic model to stop scaling (>= 64
-    #: nodes).  Requires ``global_scheduling`` and (for now) no
-    #: preemption — ``validate()`` rejects the incoherent combinations.
-    shard_mode: str = "off"
-    #: Number of scheduling domains (``shard_mode != off``).  ``0`` picks
-    #: a default of about four racks per domain; ``1`` degenerates to a
-    #: single whole-cluster domain whose cycle is bit-equal to the
-    #: monolithic pipeline.
-    shard_count: int = 0
-    #: The single RNG seed for everything stochastic under this config:
-    #: domain-assignment tie-breaks, the worker-pool dispatch order of the
-    #: sharded solve, and the workload generators driven by the
-    #: experiment runner and benches.  One seed, bit-reproducible runs.
-    seed: int = 0
 
     @property
     def plan_ahead_quanta(self) -> int:
@@ -227,9 +194,9 @@ class TetriSchedConfig:
         partial config documents exactly what it overrides and inherits
         everything else from the layer below via :meth:`merged_into`::
 
-            >>> patch = TetriSchedConfig.partial(shard_mode="racks")
-            >>> patch.merged_into(TetriSchedConfig(quantum_s=2)).shard_mode
-            'racks'
+            >>> patch = TetriSchedConfig.partial(solve_mode="repair")
+            >>> patch.merged_into(TetriSchedConfig(quantum_s=2)).solve_mode
+            'repair'
         """
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(overrides) - names
@@ -277,26 +244,6 @@ class TetriSchedConfig:
         if self.solve_mode not in SOLVE_MODES:
             fail(f"solve_mode must be one of {SOLVE_MODES}, "
                  f"got {self.solve_mode!r}")
-        if self.shard_mode not in SHARD_MODES:
-            fail(f"shard_mode must be one of {SHARD_MODES}, "
-                 f"got {self.shard_mode!r}")
-        if self.shard_count < 0:
-            fail(f"shard_count must be >= 0, got {self.shard_count!r}")
-        if self.shard_mode == "off" and self.shard_count > 0:
-            fail("shard_count is set but shard_mode='off' — either enable "
-                 "sharding (shard_mode='racks'|'auto') or drop shard_count")
-        if self.shard_mode != "off" and not self.global_scheduling:
-            fail("shard_mode requires global_scheduling=True: the greedy "
-                 "(-NG) path schedules one job at a time and has no domain "
-                 "MILPs to shard")
-        if self.shard_mode != "off" and not self.heterogeneity_aware:
-            fail("shard_mode requires heterogeneity_aware=True: the -NH "
-                 "ablation flattens every option to one whole-cluster "
-                 "equivalence set, which no single domain can host")
-        if self.shard_mode != "off" and self.enable_preemption:
-            fail("shard_mode with enable_preemption is not supported: "
-                 "preemption candidates span domains and would break "
-                 "domain independence")
         if self.elastic_mode and not self.global_scheduling:
             fail("elastic_mode requires global_scheduling=True: width "
                  "re-planning trades a running gang's nodes against the "
@@ -312,8 +259,9 @@ class TetriSchedConfig:
             fail(f"rel_gap must be >= 0, got {self.rel_gap!r}")
         # repair_gap_threshold < 0 is legal: it forces auto mode to
         # escalate to exact search every cycle (the fuzz harness uses -1.0).
-        if self.solver_workers < 0:
-            fail(f"solver_workers must be >= 0, got {self.solver_workers!r}")
+        if self.solver_time_limit is not None and self.solver_time_limit <= 0:
+            fail(f"solver_time_limit must be positive (None = unlimited), "
+                 f"got {self.solver_time_limit!r}")
         return self
 
 
@@ -380,10 +328,6 @@ class CycleStats:
     components: int = 0
     #: Stored nonzeros in the cycle MILP's sparse export.
     milp_nonzeros: int = 0
-    #: Component-cache exact hits (result replayed without solving) and
-    #: structural near-misses (cached solution donated as a warm start).
-    cache_hits: int = 0
-    cache_warm_hits: int = 0
     #: Repair-path telemetry: column-generation pricing rounds, columns
     #: activated by pricing, worst audited (LP-bound) gap across this
     #: cycle's repaired solves, and escalations to exact branch and bound.
@@ -391,24 +335,8 @@ class CycleStats:
     colgen_columns_priced: int = 0
     repair_gap: float = 0.0
     repair_escalations: int = 0
-    #: Component-cache LRU evictions observed during this cycle's solves.
-    cache_evictions: int = 0
     #: Jobs cancelled by :meth:`TetriSched.cancel` and drained this cycle.
     cancelled: int = 0
-    #: Sharded-cycle accounting (``shard_mode != off``; zeros otherwise).
-    #: ``shard_domains`` counts domains that compiled a MILP this cycle,
-    #: ``shard_boundary_jobs`` the cross-domain gangs reconciled by the
-    #: coupling model, ``shard_trimmed_jobs`` the jobs whose placement
-    #: options were restricted when pinned to a domain, and
-    #: ``shard_quality_bound`` the declared bound on objective loss vs the
-    #: monolithic optimum (the summed best-case value of the trimmed and
-    #: boundary jobs; zero when no gang crosses a domain — exact parity).
-    shard_domains: int = 0
-    shard_boundary_jobs: int = 0
-    shard_trimmed_jobs: int = 0
-    shard_quality_bound: float = 0.0
-    #: Domains whose MILP timed out and fell back to greedy this cycle.
-    shard_greedy_fallbacks: int = 0
     #: Elastic re-planning accounting (``elastic_mode``; zeros otherwise).
     #: ``elastic_offered`` counts running elastic jobs that re-entered the
     #: batch with resize options this cycle; ``elastic_resized`` those the
@@ -421,9 +349,6 @@ class CycleStats:
     elastic_shrunk: int = 0
     elastic_congested: bool = False
     elastic_width_cap: int = 0
-    #: Per-domain records (``{"domain", "jobs", "objective", "solve_s"}``),
-    #: JSON-serializable for the service's cycle-stats API.
-    domain_stats: list = field(default_factory=list)
     #: Wall-clock seconds per pipeline stage.  Keys are the
     #: :class:`repro.pipeline.stages.StageName` values (plain strings after
     #: JSON round-trips; the str-mixin enum indexes both).
@@ -451,13 +376,10 @@ class SolveTelemetry:
     lp_fill_ratio: float = 0.0
     warm_start_attempted: bool = False
     warm_start_hit: bool = False
-    cache_hits: int = 0
-    cache_warm_hits: int = 0
     colgen_rounds: int = 0
     colgen_columns_priced: int = 0
     repair_gap: float = 0.0
     repair_escalations: int = 0
-    cache_evictions: int = 0
 
     def absorb(self, res) -> None:
         """Fold one :class:`~repro.solver.result.MILPResult` in."""
@@ -476,9 +398,6 @@ class SolveTelemetry:
         # Worst factor fill across this cycle's solves (a max, not a sum).
         self.lp_fill_ratio = max(self.lp_fill_ratio,
                                  float(res.stats.get("lp_fill_ratio", 0.0)))
-        self.cache_hits += int(res.stats.get("cache_hits", 0))
-        self.cache_warm_hits += int(res.stats.get("cache_warm_hits", 0))
-        self.cache_evictions += int(res.stats.get("cache_evictions", 0))
         self.colgen_rounds += int(res.stats.get("colgen_rounds", 0))
         self.colgen_columns_priced += int(
             res.stats.get("colgen_columns_priced", 0))
@@ -510,36 +429,17 @@ class CycleResult:
 class TetriSched:
     """The scheduler: queue management + per-cycle global rescheduling.
 
-    Construct through the :mod:`repro.api` facade — direct construction
-    still works for one release but warns:
+    The :mod:`repro.api` facade (``Scheduler.open``) wraps one of these
+    with context-manager lifetime and spec-string clusters:
 
-    >>> from repro.api import Scheduler
     >>> from repro.cluster import Cluster
     >>> cluster = Cluster.build(racks=1, nodes_per_rack=4)
-    >>> api = Scheduler.open(cluster, TetriSchedConfig(quantum_s=10,
-    ...                                                plan_ahead_s=30))
-    >>> sched = api.core   # the underlying TetriSched
+    >>> sched = TetriSched(cluster, TetriSchedConfig(quantum_s=10,
+    ...                                              plan_ahead_s=30))
     """
 
     def __init__(self, cluster: Cluster,
                  config: TetriSchedConfig | None = None) -> None:
-        warnings.warn(
-            "direct TetriSched(...) construction is deprecated; build "
-            "schedulers through repro.api.Scheduler.open(cluster, config) "
-            "(this shim is kept for one release)",
-            DeprecationWarning, stacklevel=2)
-        self._init(cluster, config)
-
-    @classmethod
-    def _from_api(cls, cluster: Cluster,
-                  config: TetriSchedConfig | None = None) -> "TetriSched":
-        """The facade's constructor (no deprecation shim)."""
-        self = cls.__new__(cls)
-        self._init(cluster, config)
-        return self
-
-    def _init(self, cluster: Cluster,
-              config: TetriSchedConfig | None) -> None:
         self.cluster = cluster
         self.config = resolve_config(config)
         self.state = ClusterState(cluster.node_names)
@@ -551,8 +451,6 @@ class TetriSched:
                          time_limit=self.config.solver_time_limit,
                          solve_mode=self.config.solve_mode,
                          repair_gap_threshold=self.config.repair_gap_threshold))
-        self._component_cache = (ComponentCache()
-                                 if self.config.component_cache else None)
         self._global_pipeline = global_pipeline(audit=self.config.audit_mode)
         self._greedy_pipeline = greedy_pipeline()
         # Previous cycle's accepted plan: (job_id, leaf) pairs, and its time.
@@ -574,19 +472,6 @@ class TetriSched:
         self._last_arrival = float("-inf")
         self._arrival_gap = float("inf")
         self._contended = False
-        # Sharded multi-domain scheduling (shard_mode racks/auto).  The
-        # coordinator persists across cycles: sticky job->domain
-        # assignments live on it.
-        self._coordinator = None
-        self._sharded_pipeline = None
-        if self.config.shard_mode != "off":
-            from repro.shard import (DomainCoordinator, sharded_pipeline,
-                                     sharding_active)
-            if sharding_active(self.config, cluster):
-                self._coordinator = DomainCoordinator(
-                    cluster, self.state, self.config)
-                self._sharded_pipeline = sharded_pipeline(
-                    audit=self.config.audit_mode)
 
     # -- queue management ----------------------------------------------------
     def submit(self, request: JobRequest) -> None:
@@ -664,12 +549,8 @@ class TetriSched:
         tel = SolveTelemetry()
         ctx = CycleContext(scheduler=self, now=now, result=result,
                            telemetry=tel, arrival=arrival)
-        if self._sharded_pipeline is not None:
-            pipeline = self._sharded_pipeline
-        elif self.config.global_scheduling:
-            pipeline = self._global_pipeline
-        else:
-            pipeline = self._greedy_pipeline
+        pipeline = (self._global_pipeline if self.config.global_scheduling
+                    else self._greedy_pipeline)
 
         outcome = self._arrival_refusal(pipeline) if arrival else None
         pending = self.pending_count
@@ -733,12 +614,10 @@ class TetriSched:
             warm_start_attempted=tel.warm_start_attempted,
             warm_start_hit=tel.warm_start_hit,
             components=ctx.components, milp_nonzeros=ctx.nnz,
-            cache_hits=tel.cache_hits, cache_warm_hits=tel.cache_warm_hits,
             colgen_rounds=tel.colgen_rounds,
             colgen_columns_priced=tel.colgen_columns_priced,
             repair_gap=tel.repair_gap,
             repair_escalations=tel.repair_escalations,
-            cache_evictions=tel.cache_evictions,
             cancelled=len(result.cancelled),
             elastic_offered=len(ctx.resizable),
             elastic_resized=len(result.resized),
@@ -747,14 +626,6 @@ class TetriSched:
             elastic_congested=self._congestion[0],
             elastic_width_cap=self._congestion[1] or 0,
             stage_timings=dict(ctx.stage_timings))
-        if ctx.shard is not None:
-            sh = ctx.shard
-            stats.shard_domains = len(sh.active_domains())
-            stats.shard_boundary_jobs = len(sh.boundary)
-            stats.shard_trimmed_jobs = len(sh.trimmed)
-            stats.shard_quality_bound = sh.quality_bound
-            stats.shard_greedy_fallbacks = len(sh.fallback_domains)
-            stats.domain_stats = sh.domain_records()
         self.cycle_history.append(stats)
         result.stats = stats
         return result
@@ -766,8 +637,8 @@ class TetriSched:
         come first served, a burst fills the cluster before the global cycle
         sees it whole.  Or the last non-empty cycle missed the certificate
         and no periodic cycle has booked, or found the queue empty, since: a
-        contended stretch wastes one compile.  Greedy and sharded cycles
-        certify nothing.
+        contended stretch wastes one compile.  A greedy cycle certifies
+        nothing.
         """
         if pipeline is not self._global_pipeline:
             return "unsupported"
@@ -830,20 +701,6 @@ class TetriSched:
         return candidates
 
     # -- elastic width re-planning ---------------------------------------------------
-    @property
-    def _resize_enabled(self) -> bool:
-        """Whether running elastic jobs re-enter this scheduler's cycles.
-
-        Resizes need the monolithic global batch: the greedy path is
-        rejected by ``validate()`` and sharded cycles solve per-domain
-        MILPs that cannot see a cross-domain gang's full width ladder —
-        there only the pending-side :class:`~repro.strl.ast.ElasticNCk`
-        shapes apply (trimmed per domain like any other option).
-        """
-        return (self.config.elastic_mode
-                and self.config.global_scheduling
-                and self._coordinator is None)
-
     def _elastic_congestion(self) -> tuple[bool, int | None]:
         """DRESS-style congestion verdict for this cycle.
 
@@ -884,7 +741,7 @@ class TetriSched:
         fragment competes fairly without ever forcing a resize.
         """
         from repro.core.compiler import ResizeCandidate
-        if not self._resize_enabled:
+        if not self.config.elastic_mode:  # validate(): implies global
             return []
         congested = self._congestion[0]
         fragments = []

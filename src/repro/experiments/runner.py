@@ -102,10 +102,7 @@ def _tetrisched_config(spec: RunSpec, variant: str) -> TetriSchedConfig:
                    solver_time_limit=spec.solver_time_limit,
                    enable_preemption=spec.enable_preemption,
                    elastic_mode=spec.elastic_mode,
-                   reconfig_penalty=spec.reconfig_penalty,
-                   # One seed drives everything derived from the config:
-                   # domain tie-breaks, pool dispatch order, workloads.
-                   seed=spec.seed)
+                   reconfig_penalty=spec.reconfig_penalty)
 
 
 def build_scheduler(spec: RunSpec, cluster: Cluster,

@@ -53,9 +53,6 @@ _HEADLINE_COUNTERS = (
     ("solver.lp.fill_ratio", "worst factor fill ratio"),
     ("solver.presolve.rows_dropped", "presolve rows dropped"),
     ("solver.presolve.bounds_tightened", "presolve bounds tightened"),
-    ("solver.cache.hits", "component-cache exact hits"),
-    ("solver.cache.warm_hits", "component-cache warm hits"),
-    ("solver.cache.evictions", "component-cache evictions"),
     ("scheduler.launched", "jobs launched"),
     ("scheduler.culled", "jobs culled"),
     ("scheduler.cancelled", "jobs cancelled"),

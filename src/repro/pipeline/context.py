@@ -11,7 +11,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only, avoids import cycle
     from repro.core.compiler import CompiledBatch, ResizeCandidate
     from repro.core.scheduler import (CycleResult, JobRequest, SolveTelemetry,
                                       TetriSched, TetriSchedConfig)
-    from repro.shard.coordinator import ShardCycle
     from repro.solver.decompose import Decomposition
     from repro.solver.result import MILPResult
     from repro.strl.ast import StrlNode
@@ -46,10 +45,6 @@ class CycleContext:
     warm_start: np.ndarray | None = None
     decomposition: "Decomposition | None" = None
     solution: "MILPResult | None" = None
-    #: Sharded-cycle working set (``shard_mode != off``), owned by the
-    #: :mod:`repro.shard` stages: per-domain batches, solves, boundary
-    #: jobs, and the reconciliation coupling model.
-    shard: "ShardCycle | None" = None
 
     #: Independent MILP blocks this cycle solved (1 when monolithic).
     components: int = 0

@@ -51,11 +51,6 @@ class StageName(str, enum.Enum):
     EXTRACT = "extract"
     AUDIT = "audit"
     GREEDY = "greedy"
-    #: Sharded-cycle stages (:mod:`repro.shard.stages`): domain
-    #: partitioning + job assignment, and the cross-domain gang
-    #: reconciliation pass over the boundary jobs.
-    SHARD_ASSIGN = "shard_assign"
-    RECONCILE = "reconcile"
 
     def __str__(self) -> str:  # uniform across py3.10..3.12 str-enum quirks
         return self.value
@@ -179,11 +174,9 @@ def solve_batch(sched: "TetriSched", compiled: "CompiledBatch",
     point and it is the proven optimum (``gap = 0``, no solver invocation,
     ``stats["direct_booking"]``); every later stage reads it exactly as it
     reads a solver's result.  Anything else is solved — per component when
-    ``decomp`` splits the model.  The per-call
-    :class:`~repro.solver.options.SolveOptions` carries the cycle warm
-    start plus the scheduler's worker-pool and component-cache
-    configuration (``solver_workers`` / ``component_cache``).  With
-    ``book_only`` (an arrival cycle) a missed booking returns ``None``.
+    ``decomp`` splits the model, with the cycle warm start in the per-call
+    :class:`~repro.solver.options.SolveOptions`.  With ``book_only`` (an
+    arrival cycle) a missed booking returns ``None``.
     """
     x, miss = compiled.book_directly()
     if x is not None:
@@ -203,11 +196,8 @@ def solve_batch(sched: "TetriSched", compiled: "CompiledBatch",
         # Column groups are expressed in the monolithic model's column
         # space; component sub-models renumber columns, so decomposed
         # repair solves run per-component LP + dive without colgen.
-        return solve_decomposed(
-            decomp, sched._backend,
-            options=SolveOptions(warm_start=warm_start,
-                                 workers=config.solver_workers,
-                                 component_cache=sched._component_cache))
+        return solve_decomposed(decomp, sched._backend,
+                                options=SolveOptions(warm_start=warm_start))
     groups = None
     if config.solve_mode != "exact":
         groups = tuple(compiled.lazy_column_groups())

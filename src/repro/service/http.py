@@ -14,7 +14,6 @@ DELETE    ``/jobs/<id>``         request cancellation
 GET       ``/status``            service summary
 GET       ``/cycles``            recent per-cycle stats records
 POST      ``/cluster/events``    ``{"action": "remove"|"add", "node": n}``
-POST      ``/shard/drain``       ``{"domain": "dom1"}`` (``"~dom1"`` restores)
 POST      ``/drain``             graceful drain; responds with final stats
 GET       ``/healthz``           liveness probe
 ========  =====================  ==========================================
@@ -200,16 +199,6 @@ class ServiceServer:
             out = await loop.run_in_executor(
                 None, svc.cluster_event,
                 str(spec.get("action", "")), str(spec.get("node", "")))
-            return 200, out, None
-        if path == "/shard/drain" and method == "POST":
-            spec = _json_body(body)
-            if not isinstance(spec, dict):
-                raise _HttpError(400, "event must be a JSON object")
-            try:
-                out = await loop.run_in_executor(
-                    None, svc.drain_domain, str(spec.get("domain", "")))
-            except ServiceError as exc:
-                return 400, {"error": str(exc)}, None
             return 200, out, None
         if path == "/drain" and method == "POST":
             # Settle state under the service lock for the response body;

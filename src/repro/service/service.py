@@ -267,34 +267,6 @@ class SchedulerService:
             return {"node": node, "action": action,
                     "drained": sorted(self.scheduler.state.drained_nodes)}
 
-    def drain_domain(self, domain: str) -> dict[str, Any]:
-        """Drain (or restore) every node of one scheduling domain.
-
-        Only meaningful when sharding is active; the domain keeps its
-        running jobs but the coordinator stops assigning new work to it
-        while any feasible alternative domain exists.  Prefix the name
-        with ``~`` to restore instead (``"~dom2"``).
-        """
-        with self._lock:
-            coord = self.scheduler._coordinator
-            if coord is None:
-                raise ServiceError(
-                    "drain_domain requires sharding (shard_mode != 'off')")
-            restore = domain.startswith("~")
-            name = domain.lstrip("~")
-            matches = [d for d in coord.domains if d.name == name]
-            if not matches:
-                known = ", ".join(d.name for d in coord.domains)
-                raise ServiceError(
-                    f"unknown domain {name!r}; known domains: {known}")
-            state = self.scheduler.state
-            for node in sorted(matches[0].nodes):
-                (state.restore if restore else state.drain)(node)
-            return {"domain": name,
-                    "action": "restore" if restore else "drain",
-                    "nodes": len(matches[0].nodes),
-                    "drained": sorted(state.drained_nodes)}
-
     # -- cycles --------------------------------------------------------------
     def run_one_cycle(self, arrival: bool = False) -> CycleResult:
         """One scheduling cycle (off-period if ``arrival``) at service time."""
@@ -351,7 +323,7 @@ class SchedulerService:
         by_state: dict[str, int] = {}
         for rec in self._jobs.values():
             by_state[rec.state] = by_state.get(rec.state, 0) + 1
-        out: dict[str, Any] = {
+        return {
             "accepting": self._accepting,
             "now": self.now(),
             "cycles_run": self._cycles_run,
@@ -361,22 +333,6 @@ class SchedulerService:
             "utilization": sched.state.utilization(),
             "drained_nodes": sorted(sched.state.drained_nodes),
         }
-        coord = sched._coordinator
-        if coord is not None:
-            latest = sched.cycle_history[-1] if sched.cycle_history else None
-            out["shard"] = {
-                "mode": sched.config.shard_mode,
-                "domains": [{"domain": d.name, "nodes": len(d.nodes)}
-                            for d in coord.domains],
-                "last_cycle": {
-                    "boundary_jobs": latest.shard_boundary_jobs,
-                    "trimmed_jobs": latest.shard_trimmed_jobs,
-                    "quality_bound": latest.shard_quality_bound,
-                    "greedy_fallbacks": latest.shard_greedy_fallbacks,
-                    "domain_stats": latest.domain_stats,
-                } if latest is not None else None,
-            }
-        return out
 
     def cycles(self, limit: int = 20) -> list[dict[str, Any]]:
         """The most recent cycles' stats records, oldest first."""

@@ -356,9 +356,6 @@ class Simulation:
                              1.0 if stats.warm_start_hit else 0.0)
             profile.bump("scheduler.components", stats.components)
             profile.bump("solver.milp_nonzeros", stats.milp_nonzeros)
-            profile.bump("solver.cache.hits", stats.cache_hits)
-            profile.bump("solver.cache.warm_hits", stats.cache_warm_hits)
-            profile.bump("solver.cache.evictions", stats.cache_evictions)
             profile.bump("scheduler.cancelled", stats.cancelled)
             profile.bump("scheduler.elastic.offered", stats.elastic_offered)
             profile.bump("scheduler.elastic.resized", stats.elastic_resized)

@@ -6,9 +6,8 @@ Public surface:
   model construction;
 * :class:`SolveOptions` — every solve tunable in one value object;
 * :class:`BranchBoundSolver` / :func:`make_backend` — solving;
-* :func:`solve_decomposed` + :class:`ComponentCache` — independent-component
-  solving with the persistent worker pool and cross-cycle memoization
-  (:mod:`repro.solver.parallel`);
+* :func:`decompose` / :func:`solve_decomposed` — independent-component
+  solving, in process, in column order;
 * :class:`MILPResult`, :class:`SolveStatus` — results;
 * :func:`solve_lp` — the standalone two-phase tableau LP solver (oracle);
 * :func:`solve_lp_revised` / :class:`RevisedSimplexEngine` — the
@@ -26,8 +25,6 @@ from repro.solver.decompose import Decomposition, decompose, solve_decomposed
 from repro.solver.expr import BINARY, CONTINUOUS, INTEGER, LinExpr, Variable, linear_sum
 from repro.solver.model import EQ, GE, LE, MAXIMIZE, MINIMIZE, Constraint, Model
 from repro.solver.options import DEFAULT_OPTIONS, UNSET, SolveOptions
-from repro.solver.parallel import (CacheStats, ComponentCache, WorkerPool,
-                                   component_fingerprint, shutdown_pools)
 from repro.solver.presolve import PresolveResult, presolve
 from repro.solver.repair import RepairSolver
 from repro.solver.result import LPResult, MILPResult, SolveStatus
@@ -38,15 +35,13 @@ from repro.solver.simplex import solve_lp
 
 __all__ = [
     "BACKEND_NAMES", "BINARY", "BasisState", "BranchBoundOptions",
-    "BranchBoundSolver", "CONTINUOUS", "CacheStats", "ColgenRoot",
-    "ColumnGroup", "ComponentCache",
+    "BranchBoundSolver", "CONTINUOUS", "ColgenRoot", "ColumnGroup",
     "Constraint", "DEFAULT_OPTIONS", "Decomposition", "EQ", "GE", "INTEGER",
     "LE", "LPResult", "LinExpr", "MAXIMIZE", "MILPBackend", "MILPResult",
     "MINIMIZE", "Model", "PresolveResult", "RepairSolver",
     "RevisedSimplexEngine",
     "ScipyMILPSolver", "SolveOptions", "SolveStatus", "UNSET", "Variable",
-    "WorkerPool", "backend_time_limit", "colgen_root",
-    "component_fingerprint", "decompose",
+    "backend_time_limit", "colgen_root", "decompose",
     "linear_sum", "make_backend", "presolve", "scipy_available",
-    "shutdown_pools", "solve_decomposed", "solve_lp", "solve_lp_revised",
+    "solve_decomposed", "solve_lp", "solve_lp_revised",
 ]

@@ -3,11 +3,14 @@
 A scheduling-cycle MILP is block-separable whenever two groups of jobs share
 no ``(partition, time-slice)`` supply constraint: the constraint matrix is
 block-diagonal up to row/column permutation, so the monolithic optimum is
-exactly the union of the per-block optima.  Branch and bound is
-super-linear in problem size, so solving ``k`` blocks of size ``n/k`` is
-far cheaper than one block of size ``n`` — the structure-exploitation
-argument CvxCluster makes for consensus problems (100-1000x) applies
-directly here.
+exactly the union of the per-block optima, and ``k`` blocks of size ``n/k``
+are cheaper to branch and bound than one block of size ``n``.  What that
+buys was measured (PR 23, HiGHS, 8x32 nodes): the paper's GR MIX and GS HET
+workloads are one block per cycle, so nothing; an 8-tenant mix with every
+job pinned to its tenant's rack splits into ~6.8 blocks per solved cycle
+and spends 2.4x less total solve time, 7x less at p90, than the
+monolithic model (1.8x / 1.5x on a second seed).  This is the one way the repository partitions a MILP
+(``docs/architecture.md``, "Why there is one partitioner").
 
 :func:`decompose` labels the blocks with vectorised min-label propagation
 over the model's CSR export (:func:`component_labels`), slices one
@@ -16,11 +19,13 @@ and handles variables that appear in *no* constraint (e.g. a preemption
 decision whose victim frees no contested node) analytically from their
 bounds.  A model that is one block with nothing free — every cycle of the
 benchmark workloads — is returned as its own single component, untouched.
-:func:`solve_decomposed` solves every component
-through any :class:`~repro.solver.backend.MILPBackend`, slices a full-model
-warm start down to each component, and recombines solutions, objective,
-bound and search statistics into a single :class:`MILPResult` whose ``x``
-is indistinguishable from a monolithic solve.
+:func:`solve_decomposed` solves the components in process, in column order,
+through any :class:`~repro.solver.backend.MILPBackend`: each gets the
+full-model warm start sliced to its columns and a share of the cycle's time
+budget proportional to its size (:func:`carve_time_budgets`), and
+solutions, objective, bound and search statistics recombine into a single
+:class:`MILPResult` whose ``x`` is indistinguishable from a monolithic
+solve.
 
 Decomposition is *schedule-preserving by construction*: with exact solves
 the recombined objective equals the monolithic optimum; with a relative
@@ -251,137 +256,88 @@ def decompose(model: Model) -> Decomposition:
                          constant=sa.obj_constant)
 
 
-def _gather_results(decomps: list[Decomposition], backend,
-                    opts_list: list[SolveOptions],
-                    dispatch_seed: int | None = None
-                    ) -> tuple[list[list[MILPResult | None]],
-                               list[dict[str, int]]]:
-    """One :class:`MILPResult` per component, per decomposition.
+#: Never hand a component less than this share of a second: tiny budgets
+#: buy nothing but still cost a solver invocation's setup.
+MIN_COMPONENT_BUDGET_S = 0.05
 
-    The three supply paths, applied per component in this order:
 
-    1. **cache exact hit** — an identical numeric model was solved before;
-       replay its stored result (bit-equal, zero solver cost);
-    2. **worker pool** — remaining components (across *every*
-       decomposition — the sharded cycle's domain models all land in one
-       dispatch) ship to the persistent process pool when
-       ``opts.workers >= 2`` (falling back to in-process solving on any
-       pool failure);
-    3. **in-process solve** — the sequential path; once a component comes
-       back infeasible/unbounded, the remaining components of *that*
-       decomposition are skipped (their entries stay ``None``; the
-       recombination loop never reads past the failure) while other
-       decompositions keep solving.
+def carve_time_budgets(total: float | None,
+                       sizes: list[int]) -> list[float | None]:
+    """Split a cycle wall-clock budget across components by variable count.
 
-    Each solved component gets a wall-clock budget carved from the cycle
-    budget (``opts.time_limit``, else the backend's configured limit) in
-    proportion to its size, and a warm start chosen as the better feasible
-    seed of the sliced cycle warm start (the scheduler's time-shifted
-    previous plan, Sec. 3.2.2) and a cache near-miss solution.
+    ``None`` (unlimited) stays unlimited for everyone.  Shares are
+    proportional to component size with a small floor, so a dominant block
+    gets most of the budget without starving the rest.  The floor is paid
+    for by renormalizing the above-floor shares, so the carved budgets
+    never sum past ``total`` — with many tiny components a naive
+    ``max(floor, share)`` oversubscribes the cycle budget and the
+    sequential solve then blows the wall clock.
+    """
+    if total is None:
+        return [None] * len(sizes)
+    n = len(sizes)
+    if not n:
+        return []
+    if total <= MIN_COMPONENT_BUDGET_S * n:
+        # Floor unaffordable: fall back to an even split of what there is.
+        return [total / n] * n
+    weight = sum(sizes) or 1
+    shares = [total * size / weight for size in sizes]
+    # Water-fill: components below the floor get exactly the floor; the
+    # rest share what remains, proportionally.  Renormalizing can push
+    # more shares under the floor, so iterate (n rounds at most).
+    floored = [s <= MIN_COMPONENT_BUDGET_S for s in shares]
+    while True:
+        above = [sizes[i] for i in range(n) if not floored[i]]
+        remaining = total - MIN_COMPONENT_BUDGET_S * (n - len(above))
+        above_weight = sum(above) or 1
+        changed = False
+        for i in range(n):
+            if floored[i]:
+                continue
+            shares[i] = remaining * sizes[i] / above_weight
+            if shares[i] <= MIN_COMPONENT_BUDGET_S:
+                floored[i] = True
+                changed = True
+        if not changed:
+            break
+    return [MIN_COMPONENT_BUDGET_S if floored[i] else shares[i]
+            for i in range(n)]
 
-    ``dispatch_seed`` (the scheduler's single RNG seed) deterministically
-    shuffles the dispatch order so big and small components interleave
-    across pool workers; results scatter back by index, so the solution is
-    bit-identical for every seed — only the wall-clock balance moves.
+
+def _gather_results(decomp: Decomposition, backend,
+                    opts: SolveOptions) -> list[MILPResult]:
+    """Solve the components in column order; one result per solved block.
+
+    Each block gets the cycle warm start (the scheduler's time-shifted
+    previous plan, Sec. 3.2.2) sliced to its columns and a wall-clock
+    budget carved from the cycle budget (``opts.time_limit``, else the
+    backend's configured limit) in proportion to its size.  The loop stops
+    at the first block that comes back without a solution: it decides the
+    recombined status, so the blocks after it are never solved.
     """
     from repro.solver.backend import backend_time_limit
-    from repro.solver.parallel import (best_warm_start, carve_time_budgets,
-                                       get_pool)
 
-    shared = opts_list[0]
-    cache = shared.get("component_cache")
-    workers = shared.get("workers", 0) or 0
-
-    results: list[list[MILPResult | None]] = [
-        [None] * d.num_components for d in decomps]
-    cache_stats: list[dict[str, int]] = [
-        {"cache_hits": 0, "cache_warm_hits": 0, "cache_evictions": 0}
-        for _ in decomps]
-    evictions_before = cache.stats.evictions if cache is not None else 0
-    #: (decomp idx, component idx, model, warm start), in natural order.
-    pending: list[tuple[int, int, Model, np.ndarray | None]] = []
-    fingerprints: dict[tuple[int, int], object] = {}
-    for di, (decomp, opts) in enumerate(zip(decomps, opts_list)):
-        warm_full = opts.get("warm_start")
-        for i, comp in enumerate(decomp.components):
-            ws = decomp.slice_warm_start(warm_full, comp)
-            if cache is not None:
-                hit = cache.lookup(comp.model)
-                fingerprints[(di, i)] = hit.fingerprint
-                if hit.result is not None:
-                    results[di][i] = hit.result
-                    cache_stats[di]["cache_hits"] += 1
-                    continue
-                if hit.warm_start is not None:
-                    cache_stats[di]["cache_warm_hits"] += 1
-                    ws = best_warm_start(comp.model, ws, hit.warm_start)
-            pending.append((di, i, comp.model, ws))
-
-    total_budget = shared.get("time_limit", UNSET)
+    total_budget = opts.get("time_limit", UNSET)
     if total_budget is UNSET:
         total_budget = backend_time_limit(backend)
-    budgets = carve_time_budgets(
-        total_budget, [model.num_variables for _, _, model, _ in pending])
-
-    def call_options(ws: np.ndarray | None,
-                     budget: float | None) -> SolveOptions:
-        if budget is None:
-            return SolveOptions(warm_start=ws)
-        return SolveOptions(warm_start=ws, time_limit=budget)
-
-    order = list(range(len(pending)))
-    if dispatch_seed is not None and len(order) > 1:
-        import random
-        random.Random(dispatch_seed).shuffle(order)
-
-    solved: dict[int, MILPResult] | None = None
-    if workers >= 2 and len(pending) > 1:
-        with obs.span("parallel_dispatch"):
-            solved = get_pool(workers).solve_many(
-                backend,
-                [(pos, pending[pos][2], call_options(pending[pos][3],
-                                                     budgets[pos]))
-                 for pos in order])
-    if solved is not None:
-        for pos, res in solved.items():
-            di, i, _, _ = pending[pos]
-            results[di][i] = res
-    else:  # sequential (or pool fallback): skip a doomed decomposition
-        doomed: set[int] = set()
-        for pos in order:
-            di, i, model, ws = pending[pos]
-            if di in doomed:
-                continue
-            res = backend.solve(model, options=call_options(ws,
-                                                            budgets[pos]))
-            results[di][i] = res
-            if not res.status.has_solution:
-                doomed.add(di)
-
-    if cache is not None:
-        # Memoize only freshly-solved components (never re-store replays).
-        for di, i, _, _ in pending:
-            if results[di][i] is not None:
-                cache.store(decomps[di].components[i].model, results[di][i],
-                            fingerprint=fingerprints.get((di, i)))
-        # LRU pressure during *this* solve (the cache outlives cycles, so
-        # the cumulative counter alone cannot be attributed to a cycle).
-        # Attributed to the first decomposition's stats; cycle telemetry
-        # sums across decompositions, so the total stays right.
-        cache_stats[0]["cache_evictions"] = (cache.stats.evictions
-                                             - evictions_before)
-    return results, cache_stats
+    budgets = carve_time_budgets(total_budget, decomp.component_sizes())
+    warm_full = opts.get("warm_start")
+    results: list[MILPResult] = []
+    for comp, budget in zip(decomp.components, budgets):
+        ws = decomp.slice_warm_start(warm_full, comp)
+        call = (SolveOptions(warm_start=ws) if budget is None
+                else SolveOptions(warm_start=ws, time_limit=budget))
+        res = backend.solve(comp.model, options=call)
+        results.append(res)
+        if not res.status.has_solution:
+            break
+    return results
 
 
 def _recombine(decomp: Decomposition,
-               results: list[MILPResult | None],
-               cache_stats: dict[str, int]) -> MILPResult:
+               results: list[MILPResult]) -> MILPResult:
     """Fold per-component results back into one :class:`MILPResult`.
-
-    Regardless of how a component's result was produced — fresh solve,
-    pool worker, or cache replay — recombination walks components in their
-    deterministic (column-order) sequence, so the assembled ``x`` and
-    objective are identical to a sequential in-process solve.
 
     The recombined :class:`MILPResult` carries the summed objective/bound,
     the max component gap, summed node/iteration counts, and
@@ -409,8 +365,6 @@ def _recombine(decomp: Decomposition,
     proven = True
     solutions: list[np.ndarray] = []
     for res in results:
-        if res is None:  # sequential early exit hit a doomed block earlier
-            continue
         nodes += res.nodes
         solve_time += res.solve_time
         for key in lp_work:
@@ -425,12 +379,12 @@ def _recombine(decomp: Decomposition,
                               else res.objective,
                               nodes=nodes, solve_time=solve_time,
                               stats={"components": decomp.num_components,
-                                     **lp_work, **cache_stats})
+                                     **lp_work})
         if not res.status.has_solution:
             return MILPResult(SolveStatus.NO_SOLUTION, None, math.nan,
                               nodes=nodes, solve_time=solve_time,
                               stats={"components": decomp.num_components,
-                                     **lp_work, **cache_stats})
+                                     **lp_work})
         solutions.append(res.x)
         objective += res.objective
         bound += res.bound if not math.isnan(res.bound) else res.objective
@@ -447,7 +401,7 @@ def _recombine(decomp: Decomposition,
              time_ms=1000.0 * solve_time)
     stats = {"components": decomp.num_components,
              "component_sizes": decomp.component_sizes(),
-             **lp_work, **cache_stats}
+             **lp_work}
     if lp_fill_ratio:
         stats["lp_fill_ratio"] = lp_fill_ratio
     if repair_gap:
@@ -458,56 +412,13 @@ def _recombine(decomp: Decomposition,
         solve_time=solve_time, stats=stats)
 
 
-def solve_many_decomposed(decomps: list[Decomposition], backend,
-                          options: SolveOptions | list[SolveOptions] | None
-                          = None,
-                          dispatch_seed: int | None = None
-                          ) -> list[MILPResult]:
-    """Solve several decompositions as one pooled batch, recombining each.
-
-    This is the sharded cycle's solve primitive: every domain MILP is
-    decomposed independently, but all their pending components flatten
-    into a *single* worker-pool dispatch, so a cluster of small domains
-    saturates the pool instead of paying one dispatch round-trip per
-    domain.  ``options`` is either one :class:`SolveOptions` shared by all
-    decompositions or a per-decomposition list (warm starts differ per
-    domain; ``workers`` / ``component_cache`` / ``time_limit`` are read
-    from the first entry and govern the whole batch).
-
-    Returns one recombined :class:`MILPResult` per decomposition, in input
-    order.  With a single decomposition this is exactly
-    :func:`solve_decomposed` — same cache traffic, same budgets, same
-    assembled ``x``.
-    """
-    if not decomps:
-        return []
-    if options is None:
-        opts_list = [SolveOptions() for _ in decomps]
-    elif isinstance(options, SolveOptions):
-        opts_list = [options] * len(decomps)
-    else:
-        if len(options) != len(decomps):
-            raise SolverError(
-                f"solve_many_decomposed: {len(decomps)} decompositions but "
-                f"{len(options)} option sets")
-        opts_list = list(options)
-    all_results, all_cache_stats = _gather_results(
-        decomps, backend, opts_list, dispatch_seed=dispatch_seed)
-    return [_recombine(decomp, results, cache_stats)
-            for decomp, results, cache_stats
-            in zip(decomps, all_results, all_cache_stats)]
-
-
 def solve_decomposed(decomp: Decomposition, backend,
                      options: SolveOptions | None = None) -> MILPResult:
     """Solve every component through ``backend`` and recombine.
 
     ``options`` governs the whole decomposed solve: ``warm_start`` is the
-    full-model seed (sliced per component), ``workers`` enables the
-    persistent process pool, ``component_cache`` the cross-cycle
-    memoization, and ``time_limit`` the cycle budget carved across
-    components (see :mod:`repro.solver.parallel`).  A thin wrapper over
-    :func:`solve_many_decomposed` with a one-element batch — the two are
-    bit-equal by construction.
+    full-model seed (sliced per component) and ``time_limit`` the cycle
+    budget carved across components (:func:`carve_time_budgets`).
     """
-    return solve_many_decomposed([decomp], backend, options)[0]
+    return _recombine(decomp, _gather_results(
+        decomp, backend, options if options is not None else SolveOptions()))

@@ -32,6 +32,7 @@ translated to any MILP backend" (Sec. 3.2.2).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -224,6 +225,51 @@ class SparseArrays:
             lb=self.lb, ub=self.ub, integrality=self.integrality)
 
 
+@dataclass(frozen=True)
+class ExportFingerprint:
+    """SHA-256 identity of a :class:`SparseArrays` export.
+
+    ``exact`` covers every number that can influence a solve: sparsity
+    pattern, coefficients, right-hand sides, objective, bounds and
+    integrality (names excluded).  ``structural`` leaves out the right-hand
+    sides and the variable bounds: the same problem with shifted supply.
+    """
+
+    exact: str
+    structural: str
+
+
+def _digest(parts: list[bytes]) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+        h.update(b"|")  # keep field boundaries unambiguous
+    return h.hexdigest()
+
+
+def fingerprint_arrays(sa: SparseArrays) -> ExportFingerprint:
+    """Fingerprint an export: the bit-equality oracle of the test suite.
+
+    Two exports with equal ``exact`` digests are the same MILP to the last
+    bit (the golden export digests of ``tests/core/test_golden_export.py``).
+    """
+    structural_parts = [
+        repr((sa.a_ub.shape, sa.a_eq.shape)).encode(),
+        sa.a_ub.indptr.tobytes(), sa.a_ub.indices.tobytes(),
+        sa.a_ub.data.tobytes(),
+        sa.a_eq.indptr.tobytes(), sa.a_eq.indices.tobytes(),
+        sa.a_eq.data.tobytes(),
+        sa.c.tobytes(), repr((sa.obj_constant, sa.obj_sign)).encode(),
+        sa.integrality.tobytes(),
+    ]
+    exact_parts = structural_parts + [
+        sa.b_ub.tobytes(), sa.b_eq.tobytes(),
+        sa.lb.tobytes(), sa.ub.tobytes(),
+    ]
+    return ExportFingerprint(exact=_digest(exact_parts),
+                             structural=_digest(structural_parts))
+
+
 #: Column domain tags by :attr:`ArrayLayout.domains` code.
 DOMAIN_BY_CODE = (CONTINUOUS, INTEGER, BINARY)
 
@@ -240,14 +286,9 @@ class ArrayLayout:
     #: True is export row ``a_eq[k]``, the k-th False is ``a_ub[k]``.
     row_is_eq: np.ndarray
     #: ``() -> names`` of the columns / of the constraints (model order),
-    #: each called at most once.  ``None`` after pickling — a pool worker
-    #: solves from the arrays and would name anything it rebuilt
-    #: ``x0..`` / ``c0..``.
-    col_names: Callable[[], list[str]] | None
-    row_names: Callable[[], list[str]] | None
-
-    def __reduce__(self):
-        return ArrayLayout, (self.domains, self.row_is_eq, None, None)
+    #: each called at most once.
+    col_names: Callable[[], list[str]]
+    row_names: Callable[[], list[str]]
 
 
 class Model:
@@ -305,8 +346,7 @@ class Model:
     def variables(self) -> list[Variable]:
         if self._variables is None:
             sa, layout = self._sparse_cache, self._layout
-            names = (layout.col_names() if layout.col_names is not None
-                     else [f"x{i}" for i in range(self.num_variables)])
+            names = layout.col_names()
             self._variables = [
                 Variable(name, i, None if lo == -np.inf else lo,
                          None if hi == np.inf else hi, DOMAIN_BY_CODE[code])
@@ -320,8 +360,7 @@ class Model:
     def constraints(self) -> list[Constraint]:
         if self._constraints is None:
             sa, layout = self._sparse_cache, self._layout
-            names = (layout.row_names() if layout.row_names is not None
-                     else [f"c{i}" for i in range(self.num_constraints)])
+            names = layout.row_names()
             next_row = {False: 0, True: 0}
             constraints = []
             for name, is_eq in zip(names, layout.row_is_eq.tolist()):

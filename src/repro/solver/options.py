@@ -2,10 +2,9 @@
 
 Historically each backend grew its own keyword arguments — ``rel_gap`` and
 ``time_limit`` on :func:`~repro.solver.backend.make_backend`, ``warm_start``
-on every ``solve()``, and the parallel/caching work would have added two
-more.  :class:`SolveOptions` replaces that scatter with a single value
-object accepted by :func:`~repro.solver.backend.make_backend`, both
-backends' ``solve()``, and
+on every ``solve()``.  :class:`SolveOptions` replaces that scatter with a
+single value object accepted by :func:`~repro.solver.backend.make_backend`,
+both backends' ``solve()``, and
 :func:`~repro.solver.decompose.solve_decomposed`.
 
 Fields default to the :data:`UNSET` sentinel, meaning *inherit the
@@ -22,12 +21,9 @@ raises :class:`TypeError` like any other unknown keyword.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import cycle guard
-    from repro.solver.parallel import ComponentCache
 
 
 class _Unset:
@@ -80,10 +76,6 @@ class SolveOptions:
     node_limit: int | None = UNSET
     #: Feasible seed point for this call (model column order), or ``None``.
     warm_start: np.ndarray | None = UNSET
-    #: Worker processes for decomposed solves; 0/1 = solve in-process.
-    workers: int = UNSET
-    #: Cross-cycle component memoization cache, or ``None`` to disable.
-    component_cache: "ComponentCache | None" = UNSET
     #: Solve strategy: ``"exact"`` (branch and bound to ``rel_gap``),
     #: ``"repair"`` (LP relaxation + rounding repair, audited gap), or
     #: ``"auto"`` (repair, escalating to exact when the audited gap
@@ -113,7 +105,6 @@ class SolveOptions:
 #: defaults); :func:`resolve` folds user options onto these.
 DEFAULT_OPTIONS = SolveOptions(rel_gap=1e-6, time_limit=None,
                                node_limit=200_000, warm_start=None,
-                               workers=0, component_cache=None,
                                solve_mode="exact", repair_gap_threshold=0.05,
                                column_groups=None)
 

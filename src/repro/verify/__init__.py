@@ -2,9 +2,9 @@
 
 The paper's central artifact is the STRL->MILP formulation (Algorithm 1);
 everything the scheduler emits is only as trustworthy as that compilation
-and the five interchangeable solve configurations built on top of it
-(dense / sparse / decomposed / parallel / cached).  This package is the
-oracle side of that bargain — three layers that recheck results without
+and the interchangeable solve configurations built on top of it
+(dense / sparse / decomposed, per LP engine and backend).  This package
+is the oracle side of that bargain — three layers that recheck results without
 reusing the code paths that produced them:
 
 * :mod:`repro.verify.certificate` — replays a
@@ -25,11 +25,10 @@ The auditor runs per-cycle inside the scheduling pipeline when
 """
 
 from repro.verify.audit import (AuditReport, AuditViolation, Violation,
-                                audit_cycle, audit_sharded,
-                                check_ledger_orphans)
+                                audit_cycle, check_ledger_orphans)
 from repro.verify.certificate import (CertificateReport, GapCertificate,
                                       certify_gap, check_certificate)
 
 __all__ = ["AuditReport", "AuditViolation", "CertificateReport",
-           "GapCertificate", "Violation", "audit_cycle", "audit_sharded",
-           "certify_gap", "check_certificate", "check_ledger_orphans"]
+           "GapCertificate", "Violation", "audit_cycle", "certify_gap",
+           "check_certificate", "check_ledger_orphans"]

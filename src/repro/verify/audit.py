@@ -1,8 +1,8 @@
 """Schedule auditing: recheck a cycle's decisions against STRL semantics.
 
 The compiler (Algorithm 1) encodes space-time feasibility as MILP
-constraints; the solver stack then has five configurations that all claim
-to respect them.  The auditor trusts none of that.  Given the cluster
+constraints; the solver stack then has several configurations that all
+claim to respect them.  The auditor trusts none of that.  Given the cluster
 state, the compiled batch, and a solve result, it independently rechecks:
 
 * **capacity** — for every (partition, quantum) pair in the plan-ahead
@@ -536,145 +536,6 @@ def audit_cycle(state: "ClusterState", compiled: "CompiledBatch",
         objective_recomputed=total_value, preempted=preempted)
 
 
-def audit_sharded(state: "ClusterState",
-                  batches: Sequence[tuple], *,
-                  quantum_s: float, now: float = 0.0,
-                  allocations: "Sequence[Allocation]" = (),
-                  reconcile: "tuple | None" = None,
-                  tol: float = 1e-6) -> AuditReport:
-    """Audit a sharded cycle's reconciled global schedule.
-
-    ``batches`` is one ``(domain_nodes, compiled, result, exprs)`` tuple
-    per solved domain; ``reconcile`` the optional boundary coupling solve
-    as ``(compiled, result, exprs)``.  Beyond running :func:`audit_cycle`
-    on every batch (capacity, shape, objective reconciliation — each
-    sound in isolation because domains draw from disjoint supply), the
-    cross-domain invariants are checked:
-
-    * domain node-sets are pairwise disjoint, and every partition a
-      domain's model references stays inside its domain (no supply
-      escape);
-    * no job was solved by more than one batch;
-    * launch decisions use globally disjoint nodes, and launches not
-      covered by any batch (greedy-fallback domains) use free nodes;
-    * aggregate space-time capacity: per future quantum, the node-count
-      demanded across *all* batches (domains plus reconciliation) fits
-      the node-count actually free on the ledger.  (Node-exact global
-      feasibility is enforced at materialization time by the shared
-      accumulator, which raises on any true conflict; the aggregate
-      check is the independent oracle over the same decisions.)
-    """
-    violations: list[Violation] = []
-    placements = 0
-    quanta_checked = 0
-    claimed = 0.0
-    recomputed = 0.0
-    preempted: list[str] = []
-
-    # -- domain disjointness + supply escape -------------------------------
-    owner_nodes: dict[str, int] = {}
-    for bi, (nodes, compiled, _res, _exprs) in enumerate(batches):
-        for n in nodes:
-            if n in owner_nodes:
-                violations.append(Violation(
-                    "audit.shard.domain-overlap",
-                    f"node {n!r} belongs to domain batches "
-                    f"{owner_nodes[n]} and {bi}"))
-            owner_nodes[n] = bi
-        # The partitioning itself always covers the whole universe (the
-        # compiler partitions state.universe); what must stay inside the
-        # domain is the supply each leaf can actually draw on.
-        referenced: set[str] = set()
-        for rec in compiled.leaf_records:
-            referenced.update(rec.leaf.nodes)
-        escape = frozenset(referenced) - nodes
-        if escape:
-            violations.append(Violation(
-                "audit.shard.domain-escape",
-                f"domain batch {bi} references nodes outside its domain: "
-                f"{sorted(escape)[:4]}"))
-
-    # -- per-batch audits + job ownership ----------------------------------
-    job_owner: dict[str, int] = {}
-    covered_jobs: set[str] = set()
-    all_batches = [(compiled, res, exprs)
-                   for _nodes, compiled, res, exprs in batches]
-    if reconcile is not None:
-        all_batches.append(reconcile)
-    for bi, (compiled, res, exprs) in enumerate(all_batches):
-        batch_jobs = {job_id for job_id, _ in exprs}
-        for job_id in sorted(batch_jobs):
-            if job_id in job_owner:
-                violations.append(Violation(
-                    "audit.shard.job-overlap",
-                    f"job {job_id!r} was solved by batches "
-                    f"{job_owner[job_id]} and {bi}"))
-            job_owner[job_id] = bi
-        covered_jobs |= batch_jobs
-        sub_allocs = [a for a in allocations if a.job_id in batch_jobs]
-        report = audit_cycle(state, compiled, res, exprs,
-                             quantum_s=quantum_s, now=now,
-                             allocations=sub_allocs, tol=tol)
-        violations.extend(report.violations)
-        placements += report.placements
-        quanta_checked += report.quanta_checked
-        if not math.isnan(report.objective_claimed):
-            claimed += report.objective_claimed
-        if not math.isnan(report.objective_recomputed):
-            recomputed += report.objective_recomputed
-        preempted.extend(report.preempted)
-
-    # -- global launch disjointness + uncovered launches -------------------
-    free_now = state.free_nodes()
-    seen_nodes: dict[str, str] = {}
-    for alloc in allocations:
-        for n in alloc.nodes:
-            if n in seen_nodes and seen_nodes[n] != alloc.job_id:
-                violations.append(Violation(
-                    "audit.shard.launch-overlap",
-                    f"node {n!r} launched for both {seen_nodes[n]!r} "
-                    f"and {alloc.job_id!r}"))
-            seen_nodes[n] = alloc.job_id
-        if alloc.job_id not in covered_jobs:
-            # Greedy-fallback launches have no MILP batch to audit them
-            # against; check freeness directly.
-            not_free = alloc.nodes - free_now
-            if not_free:
-                violations.append(Violation(
-                    "audit.shard.fallback-busy-nodes",
-                    f"fallback allocation for {alloc.job_id!r} uses busy "
-                    f"nodes: {sorted(not_free)[:4]}"))
-
-    # -- aggregate space-time capacity across every batch ------------------
-    busy = _independent_busy_quanta(state, now, quantum_s)
-    demand: dict[int, int] = {}
-    for compiled, res, exprs in all_batches:
-        if res.x is None:
-            continue
-        for pl in compiled.decode(np.asarray(res.x, dtype=float)):
-            for t in range(pl.start, pl.start + pl.duration):
-                demand[t] = demand.get(t, 0) + pl.total_nodes
-    drained = state.drained_nodes
-    for t, used in sorted(demand.items()):
-        # A node is free at quantum t unless drained or still held (never
-        # double-subtracted — a drained node a job still holds counts once).
-        free = sum(1 for n in state.universe
-                   if n not in drained and busy.get(n, 0) <= t)
-        quanta_checked += 1
-        if used > free:
-            violations.append(Violation(
-                "audit.shard.aggregate-capacity",
-                f"quantum {t}: {used} nodes demanded across all domain "
-                f"batches, only {free} free cluster-wide",
-                {"t": t, "used": used, "free": free}))
-
-    return AuditReport(tuple(violations), placements=placements,
-                       quanta_checked=quanta_checked,
-                       objective_claimed=claimed,
-                       objective_recomputed=recomputed,
-                       preempted=tuple(preempted))
-
-
 def check_ledger_orphans(state: "ClusterState",
                          launched: Mapping[str, object]
                          ) -> tuple[Violation, ...]:
@@ -700,4 +561,4 @@ def check_ledger_orphans(state: "ClusterState",
 
 
 __all__ = ["AuditReport", "AuditViolation", "Violation", "audit_cycle",
-           "audit_sharded", "check_ledger_orphans"]
+           "check_ledger_orphans"]

@@ -6,10 +6,10 @@ replays that claim against the model's canonical CSR export
 (:meth:`~repro.solver.model.Model.to_sparse_arrays`) — variable bounds,
 integrality, every inequality and equality row, the recomputed objective,
 and consistency of the reported dual bound.  The check is a direct
-``O(nonzeros)`` evaluation that shares no code with any solve path, so the
-decomposed / parallel / cache-replay recombinations can never silently
-diverge from the monolithic model: a wrong assembled ``x`` or a lied-about
-objective fails here no matter which configuration produced it.
+``O(nonzeros)`` evaluation that shares no code with any solve path, so a
+decomposed recombination can never silently diverge from the monolithic
+model: a wrong assembled ``x`` or a lied-about objective fails here no
+matter which configuration produced it.
 
 Tolerances are absolute-plus-relative: a row with right-hand side ``b``
 may be violated by at most ``tol * max(1, |b|)``.

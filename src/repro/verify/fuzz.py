@@ -1,14 +1,13 @@
-"""Differential fuzzing across the six-way solver stack.
+"""Differential fuzzing across the solver stack.
 
 One instance, every solver configuration: the legacy dense two-phase
 tableau as the reference oracle, then the pure branch-and-bound backend
-over the revised simplex in dense, sparse, decomposed, parallel
-(2 workers), and cache-replay form, plus the scipy/HiGHS backend (dense,
-sparse, decomposed) when scipy is importable.  For each result the harness runs
-the MILP certificate checker and the schedule auditor, then asserts all
-configurations report the same objective.  Any disagreement is a bug in
-exactly one layer — the sparse export, the component recombination, the
-worker pool, the cache fingerprint, or the compiler itself — and
+over the revised simplex in dense, sparse and decomposed form, plus the
+scipy/HiGHS backend (dense, sparse, decomposed) when scipy is importable.
+For each result the harness runs the MILP certificate checker and the
+schedule auditor, then asserts all configurations report the same
+objective.  Any disagreement is a bug in exactly one layer — the sparse
+export, the component recombination, or the compiler itself — and
 hypothesis shrinks the offending instance before it is written to a JSON
 seed file that ``python -m repro fuzz --replay`` rebuilds without
 hypothesis installed.
@@ -26,9 +25,8 @@ import time
 from pathlib import Path
 
 from repro.solver import (BranchBoundOptions, BranchBoundSolver,
-                          ComponentCache, ScipyMILPSolver, SolveOptions,
-                          make_backend, scipy_available, shutdown_pools,
-                          solve_decomposed)
+                          ScipyMILPSolver, SolveOptions, make_backend,
+                          scipy_available, solve_decomposed)
 from repro.solver.decompose import decompose
 from repro.verify.audit import audit_cycle
 from repro.verify.certificate import certify_gap, check_certificate
@@ -53,10 +51,7 @@ class DifferentialFailure(AssertionError):
 def _configurations(compiled=None):
     """Yield ``(name, solve_fn)`` pairs for every available configuration.
 
-    Each ``solve_fn(model)`` returns a :class:`MILPResult`.  The cached
-    configuration solves twice through one :class:`ComponentCache` and
-    asserts the replay is bit-equal before returning it — a cache hit that
-    drifts from the original solve is itself a differential failure.
+    Each ``solve_fn(model)`` returns a :class:`MILPResult`.
 
     ``compiled`` (the instance's :class:`CompiledBatch`, when available)
     additionally enables the column-generation repair configuration, whose
@@ -83,28 +78,6 @@ def _configurations(compiled=None):
             decompose(model), BranchBoundSolver(BranchBoundOptions(
                 rel_gap=_GAP)), SolveOptions())
     yield "pure-decomposed", pure_decomposed
-
-    def pure_parallel(model):
-        return solve_decomposed(
-            decompose(model), BranchBoundSolver(BranchBoundOptions(
-                rel_gap=_GAP)), SolveOptions(workers=2))
-    yield "pure-parallel", pure_parallel
-
-    def pure_cached(model):
-        cache = ComponentCache()
-        backend = BranchBoundSolver(BranchBoundOptions(rel_gap=_GAP))
-        opts = SolveOptions(component_cache=cache)
-        first = solve_decomposed(decompose(model), backend, opts)
-        replay = solve_decomposed(decompose(model), backend, opts)
-        if replay.objective != first.objective or (
-                (replay.x is None) != (first.x is None)
-                or (first.x is not None
-                    and not (replay.x == first.x).all())):
-            raise DifferentialFailure(
-                f"cache replay diverged: objective {replay.objective!r} "
-                f"vs first solve {first.objective!r}")
-        return replay
-    yield "pure-cached", pure_cached
 
     # Relaxation-repair fast path: LP root (+ lazy columns when compiler
     # metadata is available) and rounding repair, compared against the
@@ -250,8 +223,6 @@ def run_fuzz(seed: int = 0, iterations: int = 25,
             where = ""
         print(f"FUZZ FAILURE (seed={seed}): {exc}{where}")
         return 1
-    finally:
-        shutdown_pools()
     print(f"fuzz ok: seed={seed} instances={stats['checked']} "
           f"(trivial={stats['trivial']}, "
           f"skipped-for-budget={stats['skipped']})")
@@ -266,8 +237,6 @@ def replay_file(path: str | Path) -> int:
     except DifferentialFailure as exc:
         print(f"REPLAY FAILURE: {exc}")
         return 1
-    finally:
-        shutdown_pools()
     print(f"replay ok: {summary}")
     return 0
 

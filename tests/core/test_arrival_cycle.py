@@ -155,8 +155,7 @@ class TestRefusals:
         assert outcome_of(sched, 34.0)[0] == "booked"
 
     @pytest.mark.parametrize("overrides", [
-        dict(global_scheduling=False),
-        dict(shard_mode="racks", shard_count=2),
+        dict(global_scheduling=False),  # the sharded input went with PR 23
     ])
     def test_greedy_and_sharded_schedulers_keep_their_period(self, overrides):
         sched = open_scheduler(**overrides)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterState
 from repro.core import PlanAccumulator, StrlCompiler
 from repro.solver import make_backend, scipy_available
-from repro.solver.parallel import fingerprint_arrays
+from repro.solver.model import fingerprint_arrays
 from repro.strl import ElasticNCk, LnCk, Max, Min, NCk
 from tests.core.test_substitution import _compile, _instances
 

@@ -94,7 +94,7 @@ class _NeverCalled:
 
 def _result_as_the_cycle_builds_it(compiled: CompiledBatch):
     sched = SimpleNamespace(config=TetriSchedConfig(),
-                            _backend=_NeverCalled(), _component_cache=None)
+                            _backend=_NeverCalled())
     return solve_batch(sched, compiled, None, None)
 
 

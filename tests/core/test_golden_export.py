@@ -48,7 +48,7 @@ from repro.core import StrlCompiler
 from repro.core.compiler import CompiledBatch, PreemptionCandidate
 from repro.experiments.runner import ClusterSpec, RunSpec, run_experiment
 from repro.pipeline import stages
-from repro.solver.parallel import fingerprint_arrays
+from repro.solver.model import fingerprint_arrays
 from repro.strl import (Barrier, ElasticNCk, LnCk, Max, Min, NCk, Scale,
                         Sum)
 from repro.workloads import COMPOSITIONS

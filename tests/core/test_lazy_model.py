@@ -33,8 +33,7 @@ from repro.core import TetriSchedConfig
 from repro.reservation.rayon import RayonReservationSystem
 from repro.sim.adapters import TetriSchedAdapter
 from repro.sim.engine import Simulation
-from repro.solver.model import Model
-from repro.solver.parallel import fingerprint_arrays
+from repro.solver.model import Model, fingerprint_arrays
 from repro.workloads import COMPOSITIONS, GridmixConfig, generate_workload
 from tests.core.test_arrival_cycle import gang
 from tests.core.test_substitution import NODES, _compile, _instances

@@ -8,6 +8,7 @@ from repro.core.queues import PriorityClass
 from repro.core.scheduler import JobRequest, TetriSched, TetriSchedConfig
 from repro.pipeline import (CycleContext, StageName, global_pipeline,
                             greedy_pipeline)
+from repro.solver import scipy_available
 from repro.strl.generator import SpaceOption
 from repro.valuefn import StepValue
 
@@ -56,10 +57,9 @@ class TestStageName:
 
     def test_members_cover_both_pipelines(self):
         values = {s.value for s in StageName}
-        # "audit" is the opt-in verification stage (audit_mode=True);
-        # "shard_assign"/"reconcile" belong to the sharded pipeline.
-        assert set(GLOBAL_STAGES) | {"greedy", "audit", "shard_assign",
-                                     "reconcile"} == values
+        # "audit" is the opt-in verification stage (audit_mode=True).
+        assert set(GLOBAL_STAGES) | {"greedy", "audit"} == values
+        assert len(StageName) == 8
 
     def test_members_interchangeable_with_plain_strings(self):
         # str mixin: hashing, equality and dict indexing all match the
@@ -119,22 +119,69 @@ def test_empty_queue_halts_after_generate():
     assert stats.solves == 0
 
 
-def test_decomposed_matches_monolithic_objective():
-    results = {}
-    for decomposition in (True, False):
-        sched = make_sched(decomposition=decomposition)
-        submit_rack_pinned(sched, jobs_per_rack=3)
-        launched = set()
-        objectives = []
-        for c in range(3):
-            res = sched.run_cycle(c * 8.0)
-            objectives.append(res.stats.objective)
-            launched |= {a.job_id for a in res.allocations}
-        results[decomposition] = (objectives, launched)
-    obj_dec, launched_dec = results[True]
-    obj_mono, launched_mono = results[False]
-    assert obj_dec == pytest.approx(obj_mono, abs=1e-6)
-    assert launched_dec == launched_mono
+def rack_pinned_run(decomposition):
+    """3x4 nodes, three gangs of two per rack, three cycles (pure backend)."""
+    sched = make_sched(decomposition=decomposition)
+    submit_rack_pinned(sched, jobs_per_rack=3)
+    results = [sched.run_cycle(c * 8.0) for c in range(3)]
+    return results, 3
+
+
+def tenant_mix_run(decomposition):
+    """PR 23's tenant mix, first burst: backlog's GR MIX table on 8x32 with
+    job i pinned to rack i % 8, one audited HiGHS cycle at rel_gap 1e-9."""
+    from dataclasses import dataclass, replace
+
+    from repro.sim.adapters import request_from_job
+    from repro.workloads import COMPOSITIONS, GridmixConfig, generate_workload
+
+    @dataclass(frozen=True)
+    class TenantRack:
+        rack: str
+        name: str = "tenant"
+
+        def options(self, cluster, k, runtime_s):
+            return (SpaceOption(cluster.rack_nodes(self.rack), k=k,
+                                duration_s=runtime_s),)
+
+    cluster = Cluster.build(racks=8, nodes_per_rack=32)
+    sched = TetriSched(cluster, TetriSchedConfig(
+        backend="auto", rel_gap=1e-9, audit_mode=True,
+        decomposition=decomposition))
+    jobs = generate_workload(
+        COMPOSITIONS["GR MIX"], cluster,
+        GridmixConfig(num_jobs=910, target_utilization=50.0,
+                      estimate_error=-0.5, seed=0))[:130]
+    t0 = jobs[0].submit_time
+    rack_of = {}
+    for i, job in enumerate(jobs):
+        rack_of[job.job_id] = cluster.rack_names[i % 8]
+        job = replace(job, k=min(job.k, 32), submit_time=0.0,
+                      deadline=job.deadline and job.deadline - t0,
+                      job_type=TenantRack(rack_of[job.job_id]))
+        sched.submit(request_from_job(job, True, cluster, sched.config))
+    result = sched.run_cycle(0.0)
+    racks_with_work = {rack for job_id, rack in rack_of.items()
+                       if job_id not in result.culled}
+    return [result], len(racks_with_work)
+
+
+@pytest.mark.parametrize("run", [
+    rack_pinned_run,
+    pytest.param(tenant_mix_run, marks=pytest.mark.skipif(
+        not scipy_available(), reason="HiGHS (scipy) not installed")),
+])
+def test_decomposed_matches_monolithic_objective(run):
+    decomposed, blocks = run(True)
+    monolithic, _ = run(False)
+    assert [r.stats.objective for r in decomposed] == pytest.approx(
+        [r.stats.objective for r in monolithic], abs=1e-6)
+    assert decomposed[0].stats.solves == 1
+    assert decomposed[0].stats.components == blocks
+    assert monolithic[0].stats.components == 1
+    if run is rack_pinned_run:  # exact solves on distinct values: one optimum
+        assert ({a.job_id for r in decomposed for a in r.allocations}
+                == {a.job_id for r in monolithic for a in r.allocations})
 
 
 def test_monolithic_config_skips_decomposition():
@@ -172,24 +219,6 @@ def test_context_halt_short_circuits():
     # Empty queue: StrlGeneration halts, Boom never runs.
     CyclePipeline([StrlGeneration(), Boom()]).run(ctx)
     assert ctx.halted
-
-
-def test_parallel_workers_config_matches_sequential():
-    """solver_workers routes component solves through the worker pool
-    without changing any decision the cycle makes."""
-    from repro.solver.parallel import shutdown_pools
-    try:
-        results = {}
-        for workers in (0, 2):
-            sched = make_sched(solver_workers=workers)
-            submit_rack_pinned(sched)
-            res = sched.run_cycle(0.0)
-            results[workers] = (res.stats.objective,
-                                sorted(a.job_id for a in res.allocations))
-        assert results[2][0] == results[0][0]  # bit-equal objective
-        assert results[2][1] == results[0][1]
-    finally:
-        shutdown_pools()
 
 
 def test_whole_cluster_fallback_merges_components():

@@ -351,19 +351,16 @@ def _trajectory(cycles=4, **config):
 
 
 class TestEquivalentPipelinesStayBitEqual:
-    def test_one_shard_matches_the_monolithic_cycle(self):
-        reference = _trajectory()
-        assert any(allocs for allocs, _, _ in reference)
-        assert any(solves for _, _, solves in reference), \
-            "nothing contended: the backend never saw a substituted model"
-        assert _trajectory(shard_mode="racks", shard_count=1) == reference
-
     def test_the_expanded_formulation_schedules_the_same(self):
         with pre_substitution():
             expanded = _trajectory()
+        substituted = _trajectory()
+        assert any(allocs for allocs, _, _ in substituted)
+        assert any(solves for _, _, solves in substituted), \
+            "nothing contended: the backend never saw a substituted model"
         for (allocs, objective, solves), (ref_allocs, ref_objective,
                                           ref_solves) in zip(
-                _trajectory(), expanded, strict=True):
+                substituted, expanded, strict=True):
             assert (allocs, solves) == (ref_allocs, ref_solves)
             # Fewer terms in the objective's sum: equal up to rounding.
             assert objective == pytest.approx(ref_objective, rel=1e-12)

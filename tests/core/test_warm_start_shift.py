@@ -143,65 +143,3 @@ class TestBackendDeclaresWarmStartUse:
         attempted, built = self.two_cycles("pure", monkeypatch)
         assert attempted == [True, True]
         assert built == [0.0, 10.0]
-
-
-class TestCacheAcrossSupplyChanges:
-    def test_cached_scheduler_matches_uncached_across_cycles(self):
-        """Differential test: the component cache must never change what
-        the scheduler decides, even as launches/completions shift supply
-        mid-window between cycles."""
-        outcomes = {}
-        for cached in (False, True):
-            cluster = Cluster.build(racks=3, nodes_per_rack=4)
-            sched = TetriSched(cluster, config(component_cache=cached))
-            racks = {}
-            for name in sorted(cluster.node_names):
-                racks.setdefault(name.rsplit("n", 1)[0], []).append(name)
-            objectives, launched = [], []
-            for c in range(4):
-                now = c * 10.0
-                if c < 2:  # arrivals in the first two cycles only
-                    for i, (rack, nodes) in enumerate(sorted(racks.items())):
-                        sched.submit(JobRequest(
-                            job_id=f"c{c}-{rack}",
-                            options=(SpaceOption(frozenset(nodes), k=2,
-                                                 duration_s=20.0),),
-                            value_fn=StepValue(10.0 + i + 5 * c, 1e9),
-                            priority=PriorityClass.SLO_ACCEPTED,
-                            submit_time=now))
-                res = sched.run_cycle(now)
-                objectives.append(res.stats.objective)
-                launched.append(sorted(a.job_id for a in res.allocations))
-                # Completions change the supply the next cycle sees.
-                for alloc in list(sched.state.running_jobs):
-                    if alloc.expected_end <= now:
-                        sched.on_job_finished(alloc.job_id, now)
-            outcomes[cached] = (objectives, launched)
-        obj_plain, launched_plain = outcomes[False]
-        obj_cached, launched_cached = outcomes[True]
-        assert obj_cached == pytest.approx(obj_plain, abs=1e-9)
-        assert launched_cached == launched_plain
-
-    def test_cache_hits_accumulate_in_cycle_stats(self):
-        cluster = Cluster.build(racks=2, nodes_per_rack=4)
-        sched = TetriSched(cluster, config(component_cache=True,
-                                           warm_start=False))
-        assert sched._component_cache is not None
-        racks = {}
-        for name in sorted(cluster.node_names):
-            racks.setdefault(name.rsplit("n", 1)[0], []).append(name)
-        # Oversubscribe each rack so pending jobs persist across cycles
-        # with unchanged per-rack components.
-        for i, (rack, nodes) in enumerate(sorted(racks.items())):
-            for j in range(3):
-                sched.submit(JobRequest(
-                    job_id=f"{rack}-j{j}",
-                    options=(SpaceOption(frozenset(nodes), k=4,
-                                         duration_s=40.0),),
-                    value_fn=StepValue(10.0 + i + 0.3 * j, 1e9),
-                    priority=PriorityClass.SLO_ACCEPTED, submit_time=0.0))
-        sched.run_cycle(0.0)
-        total_lookups = (sched._component_cache.stats.hits
-                        + sched._component_cache.stats.misses)
-        assert total_lookups >= 2  # one lookup per component
-        assert len(sched._component_cache) >= 1

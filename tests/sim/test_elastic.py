@@ -331,7 +331,7 @@ class TestElasticBeatsRigid:
         cluster = Cluster.build(racks=8, nodes_per_rack=32)
         api = Scheduler.open(cluster, TetriSchedConfig(
             quantum_s=self.QUANTUM, cycle_s=self.QUANTUM, plan_ahead_s=64.0,
-            rel_gap=1e-6, elastic_mode=elastic, seed=0, audit_mode=True))
+            rel_gap=1e-6, elastic_mode=elastic, audit_mode=True))
         requests = {}
         for job in self.gangs(cluster, elastic):
             requests[job.job_id] = job

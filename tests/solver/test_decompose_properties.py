@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.solver.backend import make_backend
-from repro.solver.decompose import (component_labels, decompose,
-                                    solve_decomposed)
+from repro.solver.decompose import (MIN_COMPONENT_BUDGET_S,
+                                    carve_time_budgets, component_labels,
+                                    decompose, solve_decomposed)
 from repro.solver.expr import LinExpr
-from repro.solver.model import MAXIMIZE, MINIMIZE, Model
-from repro.solver.parallel import fingerprint_arrays
+from repro.solver.model import (MAXIMIZE, MINIMIZE, Model,
+                                fingerprint_arrays)
+from repro.solver.result import MILPResult, SolveStatus
 from tests.strategies import multi_component_models
 
 
@@ -261,3 +263,114 @@ class TestSingleBlockShortCircuit:
         assert decomp.num_components == 1
         assert decomp.components[0].model is not m
         assert decomp.free_indices.tolist() == [2]
+
+
+def knapsack(capacity: int = 5, values=(10, 13, 7)) -> Model:
+    m = Model("knapsack")
+    xs = [m.add_binary(f"x{i}") for i in range(3)]
+    m.add_constraint(3 * xs[0] + 4 * xs[1] + 2 * xs[2], "<=", capacity)
+    m.set_objective(sum(v * x for v, x in zip(values, xs)),
+                    sense="maximize")
+    return m
+
+
+def fingerprint(model: Model):
+    return fingerprint_arrays(model.to_sparse_arrays())
+
+
+class TestFingerprint:
+    """``fingerprint_arrays``: the digest every bit-equality test leans on."""
+
+    def test_identical_models_share_both_fingerprints(self):
+        fp1, fp2 = (fingerprint(knapsack()) for _ in range(2))
+        assert fp1.exact == fp2.exact
+        assert fp1.structural == fp2.structural
+
+    def test_rhs_change_breaks_exact_keeps_structural(self):
+        fp1 = fingerprint(knapsack(capacity=5))
+        fp2 = fingerprint(knapsack(capacity=4))
+        assert fp1.exact != fp2.exact
+        assert fp1.structural == fp2.structural
+
+    def test_coefficient_change_breaks_both(self):
+        fp1 = fingerprint(knapsack(values=(10, 13, 7)))
+        fp2 = fingerprint(knapsack(values=(10, 13, 8)))
+        assert fp1.exact != fp2.exact
+        assert fp1.structural != fp2.structural
+
+    def test_variable_names_do_not_matter(self):
+        m1 = knapsack()
+        m2 = Model("renamed")
+        ys = [m2.add_binary(f"y{i}") for i in range(3)]
+        m2.add_constraint(3 * ys[0] + 4 * ys[1] + 2 * ys[2], "<=", 5)
+        m2.set_objective(10 * ys[0] + 13 * ys[1] + 7 * ys[2],
+                         sense="maximize")
+        assert fingerprint(m1).exact == fingerprint(m2).exact
+
+
+class TestBudgets:
+    def test_unlimited_stays_unlimited(self):
+        assert carve_time_budgets(None, [5, 10]) == [None, None]
+
+    def test_proportional_split_with_floor(self):
+        budgets = carve_time_budgets(1.0, [90, 10])
+        assert budgets[0] == pytest.approx(0.9)
+        assert budgets[1] == pytest.approx(0.1)
+        tiny = carve_time_budgets(0.1, [99, 1])
+        assert tiny[1] == MIN_COMPONENT_BUDGET_S
+
+    def test_empty_components(self):
+        assert carve_time_budgets(1.0, []) == []
+
+    def test_hundred_tiny_components_never_oversubscribe(self):
+        # Regression: the old proportional carve topped every small
+        # share up to MIN_COMPONENT_BUDGET_S without renormalizing, so
+        # 100 tiny components were handed 5s of a 1s budget.  The
+        # water-filled split degrades to even shares instead.
+        budgets = carve_time_budgets(1.0, [1] * 100)
+        assert sum(budgets) <= 1.0 + 1e-9
+        assert all(b == pytest.approx(0.01) for b in budgets)
+
+    def test_floor_topups_come_out_of_the_large_shares(self):
+        budgets = carve_time_budgets(1.0, [997, 1, 1, 1])
+        assert budgets[1:] == [MIN_COMPONENT_BUDGET_S] * 3
+        assert budgets[0] == pytest.approx(1.0 - 3 * MIN_COMPONENT_BUDGET_S)
+        assert sum(budgets) <= 1.0 + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(total=st.floats(0.01, 10.0),
+           sizes=st.lists(st.integers(1, 1000), min_size=1, max_size=120))
+    def test_sum_never_exceeds_total(self, total, sizes):
+        budgets = carve_time_budgets(total, sizes)
+        assert len(budgets) == len(sizes)
+        assert all(b > 0.0 for b in budgets)
+        assert sum(budgets) <= total + 1e-9
+
+
+class TestDoomedBlockStopsTheLoop:
+    def test_blocks_after_an_infeasible_one_are_never_solved(self):
+        m = Model("blocks")
+        for b in range(3):
+            xs = [m.add_binary(f"b{b}x{i}") for i in range(3)]
+            m.add_constraint(3 * xs[0] + 4 * xs[1] + 2 * xs[2], "<=", 5)
+        m.set_objective(sum(m.variables), sense="maximize")
+        decomp = decompose(m)
+        assert decomp.num_components == 3
+
+        class SecondBlockInfeasible:
+            def __init__(self):
+                self.inner = make_backend("pure")
+                self.solved = []
+
+            def solve(self, model, options=None):
+                self.solved.append(model.name)
+                if len(self.solved) == 2:
+                    return MILPResult(SolveStatus.INFEASIBLE, None,
+                                      float("nan"))
+                return self.inner.solve(model, options=options)
+
+        backend = SecondBlockInfeasible()
+        res = solve_decomposed(decomp, backend)
+        assert backend.solved == ["blocks#c0", "blocks#c1"]
+        assert res.status == SolveStatus.INFEASIBLE and res.x is None
+        assert res.stats["components"] == 3

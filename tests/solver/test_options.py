@@ -1,5 +1,7 @@
 """SolveOptions: merge semantics, defaults, and removed legacy kwargs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,9 @@ class TestUnsetSentinel:
     def test_fields_default_to_unset(self):
         opts = SolveOptions()
         for name in ("rel_gap", "time_limit", "node_limit", "warm_start",
-                     "workers", "component_cache"):
+                     "solve_mode", "repair_gap_threshold", "column_groups"):
             assert getattr(opts, name) is UNSET
+        assert len(dataclasses.fields(SolveOptions)) == 7
 
 
 class TestMerge:
@@ -53,7 +56,7 @@ class TestMerge:
         opts = resolve(SolveOptions(rel_gap=0.25))
         assert opts.rel_gap == 0.25
         assert opts.node_limit == DEFAULT_OPTIONS.node_limit
-        assert opts.workers == 0
+        assert opts.solve_mode == "exact"
         assert resolve(None) is DEFAULT_OPTIONS
 
     def test_get_with_default(self):

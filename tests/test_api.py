@@ -1,5 +1,6 @@
 """The repro.api facade: lifecycle, spec parsing, config layering."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -103,10 +104,26 @@ class TestLifecycle:
 
 
 class TestDeprecation:
-    def test_direct_construction_warns(self):
-        cluster = Cluster.build(racks=2, nodes_per_rack=2)
-        with pytest.warns(DeprecationWarning, match="Scheduler.open"):
-            TetriSched(cluster, TetriSchedConfig())
+    """The shim is gone: one constructor, which ``Scheduler.open`` calls."""
+
+    def test_facade_and_direct_construction_run_an_identical_first_cycle(self):
+        def first_cycle(build):
+            cluster = Cluster.build(racks=2, nodes_per_rack=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                sched = build(cluster, TetriSchedConfig(quantum_s=10,
+                                                        plan_ahead_s=30))
+            for i in range(3):  # 6 nodes wanted, 4 there: a real solve
+                sched.submit(small_request(cluster, f"j{i}", 10.0 + i))
+            result = sched.run_cycle(0.0)
+            stats = {k: v for k, v in vars(result.stats).items()
+                     if not k.endswith("_s") and k != "stage_timings"}
+            return result.allocations, result.culled, stats
+
+        direct = first_cycle(TetriSched)
+        facade = first_cycle(lambda c, cfg: Scheduler.open(c, cfg).core)
+        assert direct == facade
+        assert direct[2]["solves"] == 1 and direct[2]["launched"] == 2
 
     def test_facade_construction_does_not_warn(self):
         with warnings.catch_warnings():
@@ -116,10 +133,10 @@ class TestDeprecation:
 
 class TestConfigLayering:
     def test_partial_merges_over_base(self):
-        patch = TetriSchedConfig.partial(shard_mode="racks", shard_count=2)
+        patch = TetriSchedConfig.partial(solve_mode="repair", rel_gap=0.5)
         merged = patch.merged_into(TetriSchedConfig(quantum_s=7))
-        assert merged.shard_mode == "racks"
-        assert merged.shard_count == 2
+        assert merged.solve_mode == "repair"
+        assert merged.rel_gap == 0.5
         assert merged.quantum_s == 7
 
     def test_partial_rejects_unknown_field(self):
@@ -132,15 +149,15 @@ class TestConfigLayering:
 
     def test_open_resolves_partial_config(self):
         api = Scheduler.open(
-            "2x4", TetriSchedConfig.partial(shard_mode="racks"))
+            "2x4", TetriSchedConfig.partial(solve_mode="repair"))
         assert api.config.is_resolved()
-        assert api.config.shard_mode == "racks"
+        assert api.config.solve_mode == "repair"
         assert api.config.cycle_s == TetriSchedConfig().cycle_s
 
     def test_resolve_none_gives_defaults(self):
         cfg = resolve_config(None)
         assert cfg.is_resolved()
-        assert cfg.shard_mode == "off"
+        assert cfg.solve_mode == "exact"
 
     def test_validate_rejects_unresolved(self):
         with pytest.raises(SchedulerError, match="unresolved"):
@@ -150,21 +167,16 @@ class TestConfigLayering:
         (dict(quantum_s=0), "quantum_s"),
         (dict(cycle_s=-1), "cycle_s"),
         (dict(solve_mode="sometimes"), "solve_mode"),
-        (dict(shard_mode="pods"), "shard_mode"),
-        (dict(shard_count=-1), "shard_count"),
-        (dict(shard_count=2), "shard_mode='off'"),
-        (dict(shard_mode="racks", global_scheduling=False),
-         "global_scheduling"),
-        (dict(shard_mode="racks", heterogeneity_aware=False),
-         "heterogeneity_aware"),
-        (dict(shard_mode="racks", enable_preemption=True), "preemption"),
         (dict(rel_gap=-0.1), "rel_gap"),
-        (dict(solver_workers=-1), "solver_workers"),
+        # 0.0 used to be accepted and placed no contended job, silently.
+        (dict(solver_time_limit=0.0), "solver_time_limit"),
+        (dict(solver_time_limit=-1.0), "solver_time_limit"),
     ])
     def test_validate_rejects_incoherent(self, kw, match):
         with pytest.raises(SchedulerError, match=match):
             TetriSchedConfig(**kw).validate()
 
     def test_validate_returns_self(self):
-        cfg = TetriSchedConfig(shard_mode="racks", shard_count=2)
+        cfg = TetriSchedConfig(solve_mode="auto", solver_time_limit=None)
         assert cfg.validate() is cfg
+        assert len(dataclasses.fields(cfg)) == 20

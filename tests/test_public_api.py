@@ -25,7 +25,6 @@ DOCTEST_MODULES = [
     "repro.cluster.state",
     "repro.reservation.rayon",
     "repro.core.scheduler",
-    "repro.shard.domains",
     "repro.verify.certificate",
 ]
 
@@ -33,7 +32,6 @@ PACKAGES = [
     "repro", "repro.solver", "repro.strl", "repro.cluster", "repro.core",
     "repro.pipeline", "repro.reservation", "repro.baselines", "repro.sim",
     "repro.workloads", "repro.experiments", "repro.verify", "repro.service",
-    "repro.shard",
 ]
 
 #: The locked top-level contract: exactly what ``from repro import *``
@@ -47,14 +45,12 @@ TOP_LEVEL_API = {
     # scheduler core
     "Allocation", "JobRequest", "PriorityClass", "StrlCompiler",
     "TetriSched", "TetriSchedConfig",
-    # sharded multi-domain scheduling
-    "DomainCoordinator", "DomainPartitioner", "SchedulingDomain",
     # long-lived scheduler service
     "SchedulerService", "ServiceAdapter", "ServiceServer",
     # cycle pipeline
     "CyclePipeline", "StageName", "global_pipeline", "greedy_pipeline",
     # solver surface
-    "ComponentCache", "Model", "SolveOptions", "SolveStatus", "make_backend",
+    "Model", "SolveOptions", "SolveStatus", "make_backend",
     # STRL
     "Barrier", "LnCk", "Max", "Min", "NCk", "Scale", "SpaceOption", "Sum",
     "parse", "to_text",
@@ -65,7 +61,7 @@ TOP_LEVEL_API = {
     "best_effort_value", "slo_value",
     # verification oracles
     "AuditReport", "AuditViolation", "CertificateReport", "audit_cycle",
-    "audit_sharded", "check_certificate",
+    "check_certificate",
 }
 
 
@@ -98,11 +94,10 @@ class TestExports:
                   if inspect.ismodule(getattr(mod, n))]
         assert not leaked, f"{package}.__all__ exports modules: {leaked}"
 
-    def test_solver_surface_includes_parallel_api(self):
+    def test_solver_surface_includes_decompose_api(self):
         from repro import solver
-        for name in ("SolveOptions", "ComponentCache", "WorkerPool",
-                     "component_fingerprint", "solve_decomposed",
-                     "shutdown_pools"):
+        for name in ("SolveOptions", "Decomposition", "decompose",
+                     "solve_decomposed"):
             assert name in solver.__all__
 
     def test_version(self):

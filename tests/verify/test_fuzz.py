@@ -25,8 +25,9 @@ class TestCheckInstance:
         assert summary["jobs"] == 2
         # Every pure configuration ran; scipy mirrors when available.
         objectives = summary["objectives"]
-        assert {"pure-dense", "pure-sparse", "pure-decomposed",
-                "pure-parallel", "pure-cached"} <= set(objectives)
+        assert {"pure-dense", "pure-sparse",
+                "pure-decomposed"} <= set(objectives)
+        assert not {"pure-parallel", "pure-cached"} & set(objectives)
         ref = objectives["pure-dense"]
         for name, obj in objectives.items():
             assert obj == pytest.approx(ref, abs=AGREEMENT_TOL), name
