@@ -93,25 +93,6 @@ class LeafRecord:
         return {pid: v for pid, v in counts.items() if v > 0}
 
 
-@dataclass(frozen=True)
-class ColumnMeta:
-    """Model columns of one start-time alternative, tagged with semantics.
-
-    One record per distinct leaf indicator: the indicator column plus every
-    partition variable of the leaves sharing it (a Min/Barrier gang shares
-    its parent's indicator, so its leaves fold into one record).  This is
-    the compiler-side mapping from model columns back to
-    job / start time / option that lazy column generation and relaxation
-    repair price and round against.
-    """
-
-    job_id: str
-    start: int            # earliest start quantum among the leaves
-    duration: int         # longest duration among the leaves
-    value: float          # best leaf value (seed-ordering heuristic)
-    columns: tuple[int, ...]  # indicator index + partition var indices
-
-
 @dataclass
 class PlannedPlacement:
     """One active leaf in the solved schedule: a space-time allocation."""
@@ -256,44 +237,6 @@ class CompiledBatch:
                     self.leaves, self.leaf_job.tolist(),
                     self.leaf_indicator.tolist()))]
         return self._records
-
-    @property
-    def column_meta(self) -> list[ColumnMeta]:
-        """Per-start-time column metadata (see :class:`ColumnMeta`).
-
-        Groups the leaf table by indicator column, so gang leaves sharing
-        one indicator land in one record.
-        """
-        ptr, pcol = self.leaf_ptr.tolist(), self.leaf_pcol.tolist()
-        by_indicator: dict[int, list[int]] = {}
-        for i, ind in enumerate(self.leaf_indicator.tolist()):
-            by_indicator.setdefault(ind, []).append(i)
-        meta: list[ColumnMeta] = []
-        for ind, members in sorted(by_indicator.items()):
-            cols = {ind}
-            for i in members:
-                cols.update(pcol[ptr[i]:ptr[i + 1]])
-            group = [self.leaves[i] for i in members]
-            meta.append(ColumnMeta(
-                job_id=self.job_of(members[0]),
-                start=min(leaf.start for leaf in group),
-                duration=max(leaf.duration for leaf in group),
-                value=max(leaf.value for leaf in group),
-                columns=tuple(sorted(cols))))
-        return meta
-
-    def lazy_column_groups(self):
-        """Solver-layer :class:`~repro.solver.colgen.ColumnGroup` list.
-
-        The translation is trivial (the solver layer does not know about
-        leaves or durations) but keeps the dependency direction clean:
-        the solver consumes opaque column groups, only the compiler knows
-        how model columns map back to STRL semantics.
-        """
-        from repro.solver.colgen import ColumnGroup
-        return [ColumnGroup(job_id=m.job_id, start=m.start,
-                            columns=m.columns, value=m.value)
-                for m in self.column_meta]
 
     def preempted_jobs(self, x: np.ndarray) -> list[str]:
         """Preemption candidates the solution chose to kill."""
@@ -1136,8 +1079,7 @@ class StrlCompiler:
                            float(expr.value / expr.k))
         if isinstance(expr, (Max, ElasticNCk)):
             # ElasticNCk desugars to max over per-width nCk options: exactly
-            # the paper's combinators, so the per-(width, start) indicators
-            # become ordinary column groups for the colgen/repair path.
+            # the paper's combinators, one indicator per (width, start).
             return self._gen_choice(expr, indicator, at_most=1)
         if isinstance(expr, Sum):
             return self._gen_choice(expr, indicator,

@@ -190,20 +190,11 @@ def solve_batch(sched: "TetriSched", compiled: "CompiledBatch",
                  quantum=quantum)
     if book_only:
         return None
-    config = sched.config
+    options = SolveOptions(warm_start=warm_start)
     if decomp is not None and (decomp.num_components > 1
                                or decomp.free_indices.size):
-        # Column groups are expressed in the monolithic model's column
-        # space; component sub-models renumber columns, so decomposed
-        # repair solves run per-component LP + dive without colgen.
-        return solve_decomposed(decomp, sched._backend,
-                                options=SolveOptions(warm_start=warm_start))
-    groups = None
-    if config.solve_mode != "exact":
-        groups = tuple(compiled.lazy_column_groups())
-    return sched._backend.solve(
-        compiled.model,
-        options=SolveOptions(warm_start=warm_start, column_groups=groups))
+        return solve_decomposed(decomp, sched._backend, options=options)
+    return sched._backend.solve(compiled.model, options=options)
 
 
 class Solve:
@@ -311,7 +302,7 @@ class Audit:
     name = StageName.AUDIT
 
     def run(self, ctx: "CycleContext") -> None:
-        from repro.verify import (AuditViolation, audit_cycle, certify_gap,
+        from repro.verify import (AuditViolation, audit_cycle,
                                   check_certificate)
         from repro.verify.audit import check_ledger_orphans
 
@@ -328,24 +319,17 @@ class Audit:
         if compiled is None or res is None:
             return
         cert = check_certificate(compiled.model, res)
-        # Repair-path results claim an LP-relaxation bound; re-derive it
-        # with an independent LP engine and certify the reported gap.
-        # Exact solves pass vacuously (no "repair_bound_source" tag).
-        gap_cert = certify_gap(compiled.model, res)
         report = audit_cycle(
             ctx.scheduler.state, compiled, res, ctx.exprs,
             quantum_s=ctx.config.quantum_s, now=ctx.now,
             allocations=ctx.result.allocations)
         obs.emit("scheduler.audit",
-                 certificate_ok=cert.ok, gap_certified=gap_cert.ok,
-                 audit_ok=report.ok,
+                 certificate_ok=cert.ok, audit_ok=report.ok,
                  placements=report.placements,
                  quanta_checked=report.quanta_checked,
                  objective_claimed=report.objective_claimed,
                  objective_recomputed=report.objective_recomputed)
-        if not cert.ok:
-            cert.raise_if_failed()
-        gap_cert.raise_if_failed()
+        cert.raise_if_failed()
         report.raise_if_failed()
 
 

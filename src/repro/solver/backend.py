@@ -57,28 +57,12 @@ def make_backend(name: str = "auto",
     options:
         Solver tunables (gap, budgets, ...); unset fields take the library
         defaults in :data:`repro.solver.options.DEFAULT_OPTIONS`.
-        ``solve_mode="repair"`` / ``"auto"`` wraps the named exact backend
-        in a :class:`~repro.solver.repair.RepairSolver`: LP relaxation +
-        rounding repair with an audited gap, escalating to the wrapped
-        exact backend (on dive failure always; on ``gap >
-        repair_gap_threshold`` in ``auto`` mode).
+
+    Every backend solves the MILP exactly, to ``rel_gap``: there is one
+    solve strategy (``docs/architecture.md``, "Why there is one solve
+    strategy").
     """
     opts = resolve(options)
-    exact = _make_exact_backend(name, opts)
-    if opts.solve_mode in ("repair", "auto"):
-        from repro.solver.repair import RepairSolver
-        return RepairSolver(exact, mode=opts.solve_mode,
-                            gap_threshold=opts.repair_gap_threshold,
-                            rel_gap=opts.rel_gap,
-                            time_limit=opts.time_limit)
-    if opts.solve_mode != "exact":
-        raise SolverError(
-            f"unknown solve_mode {opts.solve_mode!r}; "
-            "expected 'exact', 'repair' or 'auto'")
-    return exact
-
-
-def _make_exact_backend(name: str, opts: SolveOptions) -> MILPBackend:
     if name == "auto":
         name = "scipy" if scipy_available() else "pure"
     if name == "scipy":

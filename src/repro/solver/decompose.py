@@ -354,13 +354,9 @@ def _recombine(decomp: Decomposition,
                                   "lp_refactorizations", "lp_warm_restarts",
                                   "lp_warm_hits", "lp_cold_fallbacks",
                                   "lp_factorizations", "lp_ft_updates",
-                                  "lp_pricing_candidates",
-                                  "colgen_rounds", "colgen_columns_priced",
-                                  "repair_escalations")}
+                                  "lp_pricing_candidates")}
     #: Worst factor fill ratio across components (max, not sum).
     lp_fill_ratio = 0.0
-    #: Worst audited repair gap across components (max, not sum).
-    repair_gap = 0.0
     solve_time = 0.0
     proven = True
     solutions: list[np.ndarray] = []
@@ -371,7 +367,6 @@ def _recombine(decomp: Decomposition,
             lp_work[key] += int(res.stats.get(key, 0))
         lp_fill_ratio = max(lp_fill_ratio,
                             float(res.stats.get("lp_fill_ratio", 0.0)))
-        repair_gap = max(repair_gap, float(res.stats.get("repair_gap", 0.0)))
         if res.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED):
             # An infeasible/unbounded block makes the whole model so.
             return MILPResult(res.status, None,
@@ -404,8 +399,6 @@ def _recombine(decomp: Decomposition,
              **lp_work}
     if lp_fill_ratio:
         stats["lp_fill_ratio"] = lp_fill_ratio
-    if repair_gap:
-        stats["repair_gap"] = repair_gap
     return MILPResult(
         status=SolveStatus.OPTIMAL if proven else SolveStatus.FEASIBLE,
         x=x, objective=objective, bound=bound, gap=gap, nodes=nodes,

@@ -76,18 +76,6 @@ class SolveOptions:
     node_limit: int | None = UNSET
     #: Feasible seed point for this call (model column order), or ``None``.
     warm_start: np.ndarray | None = UNSET
-    #: Solve strategy: ``"exact"`` (branch and bound to ``rel_gap``),
-    #: ``"repair"`` (LP relaxation + rounding repair, audited gap), or
-    #: ``"auto"`` (repair, escalating to exact when the audited gap
-    #: exceeds :attr:`repair_gap_threshold`).
-    solve_mode: str = UNSET
-    #: Audited-gap ceiling for ``solve_mode="auto"``: a repaired incumbent
-    #: whose LP-bound gap exceeds this escalates to exact branch and bound.
-    repair_gap_threshold: float = UNSET
-    #: Lazy start-time column groups for the repair path (a sequence of
-    #: :class:`repro.solver.colgen.ColumnGroup`), or ``None`` to solve the
-    #: root LP with every column materialized.
-    column_groups: "tuple | None" = UNSET
 
     def merged_into(self, base: "SolveOptions") -> "SolveOptions":
         """``base`` with every field this instance explicitly sets applied."""
@@ -104,9 +92,7 @@ class SolveOptions:
 #: Library-wide defaults (mirrors the historical ``make_backend`` keyword
 #: defaults); :func:`resolve` folds user options onto these.
 DEFAULT_OPTIONS = SolveOptions(rel_gap=1e-6, time_limit=None,
-                               node_limit=200_000, warm_start=None,
-                               solve_mode="exact", repair_gap_threshold=0.05,
-                               column_groups=None)
+                               node_limit=200_000, warm_start=None)
 
 
 def resolve(options: SolveOptions | None) -> SolveOptions:

@@ -221,14 +221,12 @@ class RevisedSimplexEngine:
 
     # -- public API ----------------------------------------------------------
     def solve(self, lb=None, ub=None, start: BasisState | None = None,
-              max_iter: int = 50_000, restart: str = "dual") -> LPResult:
+              max_iter: int = 50_000) -> LPResult:
         """Solve under the given bounds; warm-restart from ``start`` if set.
 
-        ``restart`` picks the reoptimization phase used with ``start``:
-        ``"dual"`` (the branch-and-bound case — bound *tightening* keeps the
-        inherited basis dual-feasible) or ``"primal"`` (the column-generation
-        case — bound *relaxation* keeps it primal-feasible instead, so the
-        engine reruns the primal phases from the inherited basis).
+        The warm restart is a dual-simplex reoptimization: branch and bound
+        only ever *tightens* bounds, which keeps the inherited basis
+        dual-feasible.
 
         Returns an :class:`~repro.solver.result.LPResult` whose ``basis``
         field carries the terminal :class:`BasisState` (for OPTIMAL
@@ -246,10 +244,7 @@ class RevisedSimplexEngine:
         result: LPResult | None = None
         if start is not None:
             self.counters["warm_restarts"] += 1
-            if restart == "primal":
-                result = self._primal_restart(start, max_iter)
-            else:
-                result = self._warm_solve(start, max_iter)
+            result = self._warm_solve(start, max_iter)
             if result is not None:
                 self.counters["warm_hits"] += 1
             else:
@@ -334,36 +329,6 @@ class RevisedSimplexEngine:
             return None
         if status == "infeasible":
             return LPResult(SolveStatus.INFEASIBLE, None, np.inf, self._iters)
-        if status != "optimal":
-            return None
-        return self._package()
-
-    def _primal_restart(self, start: BasisState,
-                        max_iter: int) -> LPResult | None:
-        """Primal reoptimization from an inherited basis.
-
-        The column-generation path *relaxes* bounds (lazy columns move from
-        ``ub == lb`` to their true upper bound), which preserves primal
-        feasibility of the incumbent basis but not dual feasibility — so
-        the engine reruns the primal phases from the inherited basis
-        instead of the dual phase.  Phase 1 terminates immediately when the
-        basis is still primal-feasible.  Returns ``None`` on any failure;
-        the caller falls back to a cold solve.
-        """
-        if not self._install_start(start):
-            return None
-        try:
-            status = self._primal(phase1=True, max_iter=max_iter)
-            if status == "infeasible":
-                return LPResult(SolveStatus.INFEASIBLE, None, np.inf,
-                                self._iters)
-            if status != "feasible":
-                return None
-            status = self._primal(phase1=False, max_iter=max_iter)
-        except _NumericalTrouble:
-            return None
-        if status == "unbounded":
-            return LPResult(SolveStatus.UNBOUNDED, None, -np.inf, self._iters)
         if status != "optimal":
             return None
         return self._package()

@@ -26,9 +26,8 @@ The auditor runs per-cycle inside the scheduling pipeline when
 
 from repro.verify.audit import (AuditReport, AuditViolation, Violation,
                                 audit_cycle, check_ledger_orphans)
-from repro.verify.certificate import (CertificateReport, GapCertificate,
-                                      certify_gap, check_certificate)
+from repro.verify.certificate import CertificateReport, check_certificate
 
 __all__ = ["AuditReport", "AuditViolation", "CertificateReport",
-           "GapCertificate", "Violation", "audit_cycle", "certify_gap",
-           "check_certificate", "check_ledger_orphans"]
+           "Violation", "audit_cycle", "check_certificate",
+           "check_ledger_orphans"]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.solver.model import MAXIMIZE, Model, SparseMatrix
-from repro.solver.result import MILPResult, SolveStatus
+from repro.solver.result import MILPResult
 from repro.verify.audit import AuditViolation, Violation
 
 
@@ -204,91 +204,6 @@ def check_certificate(model: Model, result: MILPResult,
         max_row_violation=max_row, objective_delta=delta)
 
 
-@dataclass
-class GapCertificate:
-    """Outcome of independently re-deriving a repair result's gap claim."""
-
-    violations: tuple[Violation, ...]
-    bound_claimed: float = float("nan")
-    bound_recomputed: float = float("nan")
-    gap_claimed: float = float("nan")
-    gap_recomputed: float = float("nan")
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def raise_if_failed(self) -> None:
-        if self.violations:
-            raise AuditViolation(self.violations)
-
-
-def certify_gap(model: Model, result: MILPResult,
-                tol: float = 1e-6) -> GapCertificate:
-    """Certify a repair-path result's claimed bound and optimality gap.
-
-    The repair solver reports ``bound`` as its root LP-relaxation optimum
-    and tags ``stats["repair_bound_source"] = "lp"``.  That claim is
-    checkable without trusting any code the repair path ran: this re-solves
-    the relaxation with an *independent* LP engine (HiGHS when scipy is
-    available, else the legacy dense tableau — never the revised simplex
-    that produced the claim) and verifies
-
-    * the claimed bound matches the recomputed relaxation optimum, which
-      also proves the lazy column generation terminated at the **full**
-      LP optimum rather than a restricted-problem artifact; and
-    * the reported ``gap`` equals the incumbent-vs-bound recomputation.
-
-    Results not tagged as LP-bounded (exact solves, escalations) pass
-    vacuously with NaN fields: their bound is a branch-and-bound proof
-    already covered by :func:`check_certificate`'s bound-consistency check.
-    """
-    if result.stats.get("repair_bound_source") != "lp" or result.x is None:
-        return GapCertificate(())
-    violations: list[Violation] = []
-    sa = model.to_standard_arrays()
-
-    from repro.solver.scipy_backend import scipy_available, solve_lp_scipy
-    from repro.solver.simplex import solve_lp
-    lp_solve = solve_lp_scipy if scipy_available() else solve_lp
-    lp = lp_solve(sa.c, a_ub=sa.a_ub if sa.b_ub.size else None,
-                  b_ub=sa.b_ub if sa.b_ub.size else None,
-                  a_eq=sa.a_eq if sa.b_eq.size else None,
-                  b_eq=sa.b_eq if sa.b_eq.size else None,
-                  lb=sa.lb, ub=sa.ub)
-    if lp.status != SolveStatus.OPTIMAL:
-        violations.append(Violation(
-            "gap.relaxation",
-            f"independent LP re-solve returned {lp.status.value} on a "
-            f"model the repair path claims to have bounded"))
-        return GapCertificate(tuple(violations),
-                              bound_claimed=result.bound,
-                              gap_claimed=result.gap)
-    bound_recomputed = float(sa.obj_sign * lp.objective + sa.obj_constant)
-    scale = max(1.0, abs(bound_recomputed))
-    if abs(result.bound - bound_recomputed) > tol * scale:
-        violations.append(Violation(
-            "gap.bound-mismatch",
-            f"claimed LP bound {result.bound:g} but the independent "
-            f"re-solve finds {bound_recomputed:g}",
-            {"claimed": result.bound, "recomputed": bound_recomputed}))
-
-    x = np.asarray(result.x, dtype=float)
-    obj_min = float(sa.c @ x)
-    lp_min = float(lp.objective)
-    gap_recomputed = abs(obj_min - lp_min) / max(1.0, abs(obj_min))
-    if abs(result.gap - gap_recomputed) > tol:
-        violations.append(Violation(
-            "gap.gap-mismatch",
-            f"claimed gap {result.gap:g} but incumbent vs recomputed "
-            f"bound gives {gap_recomputed:g}",
-            {"claimed": result.gap, "recomputed": gap_recomputed}))
-    return GapCertificate(tuple(violations), bound_claimed=result.bound,
-                          bound_recomputed=bound_recomputed,
-                          gap_claimed=result.gap,
-                          gap_recomputed=gap_recomputed)
-
-
 def _row_constraint_name(model: Model, kind: str, row: int) -> str:
     """Name of the model constraint behind sparse row ``row`` of ``kind``."""
     want_eq = kind == "eq"
@@ -301,5 +216,4 @@ def _row_constraint_name(model: Model, kind: str, row: int) -> str:
     return f"{kind}[{row}]"
 
 
-__all__ = ["CertificateReport", "GapCertificate", "certify_gap",
-           "check_certificate"]
+__all__ = ["CertificateReport", "check_certificate"]

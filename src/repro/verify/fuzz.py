@@ -25,11 +25,11 @@ import time
 from pathlib import Path
 
 from repro.solver import (BranchBoundOptions, BranchBoundSolver,
-                          ScipyMILPSolver, SolveOptions, make_backend,
-                          scipy_available, solve_decomposed)
+                          ScipyMILPSolver, SolveOptions, scipy_available,
+                          solve_decomposed)
 from repro.solver.decompose import decompose
 from repro.verify.audit import audit_cycle
-from repro.verify.certificate import certify_gap, check_certificate
+from repro.verify.certificate import check_certificate
 from repro.verify.instance import FuzzInstance, build_instance
 
 #: Relative tolerance for cross-configuration objective agreement.  The
@@ -38,24 +38,15 @@ from repro.verify.instance import FuzzInstance, build_instance
 AGREEMENT_TOL = 1e-6
 _GAP = 1e-9
 
-#: Configurations allowed to undershoot the oracle by their own *audited*
-#: gap (the repair fast path trades exactness for speed); every other
-#: configuration must agree with the oracle to :data:`AGREEMENT_TOL`.
-GAP_TOLERANT = frozenset({"pure-repair", "pure-repair-colgen"})
-
 
 class DifferentialFailure(AssertionError):
     """Two solver configurations (or a config and an oracle) disagreed."""
 
 
-def _configurations(compiled=None):
+def _configurations():
     """Yield ``(name, solve_fn)`` pairs for every available configuration.
 
     Each ``solve_fn(model)`` returns a :class:`MILPResult`.
-
-    ``compiled`` (the instance's :class:`CompiledBatch`, when available)
-    additionally enables the column-generation repair configuration, whose
-    lazy groups come from the compiler's column metadata.
     """
     def pure(arrays, lp_engine="revised"):
         solver = BranchBoundSolver(BranchBoundOptions(rel_gap=_GAP,
@@ -78,26 +69,6 @@ def _configurations(compiled=None):
             decompose(model), BranchBoundSolver(BranchBoundOptions(
                 rel_gap=_GAP)), SolveOptions())
     yield "pure-decomposed", pure_decomposed
-
-    # Relaxation-repair fast path: LP root (+ lazy columns when compiler
-    # metadata is available) and rounding repair, compared against the
-    # oracle with a gap tolerance; the forced-escalation auto config must
-    # reproduce the exact objective.
-    def repair(groups=None, mode="repair", threshold=0.05):
-        backend = make_backend("pure", SolveOptions(
-            rel_gap=_GAP, solve_mode=mode, repair_gap_threshold=threshold))
-
-        def solve_fn(model):
-            return backend.solve(model, SolveOptions(column_groups=groups))
-        return solve_fn
-
-    yield "pure-repair", repair()
-    if compiled is not None:
-        yield "pure-repair-colgen", repair(
-            groups=tuple(compiled.lazy_column_groups()))
-    # gap > threshold with threshold = -1.0 always holds (gap >= 0), so
-    # this config deterministically escalates and must match exactly.
-    yield "pure-auto-exact", repair(mode="auto", threshold=-1.0)
 
     if scipy_available():
         def scipy_solver(use_sparse):
@@ -125,7 +96,7 @@ def check_instance(spec: FuzzInstance) -> dict:
         return {"trivial": True}
     objectives: dict[str, float] = {}
     reference: float | None = None
-    for name, solve_fn in _configurations(compiled):
+    for name, solve_fn in _configurations():
         result = solve_fn(compiled.model)
         if not result.status.has_solution:
             raise DifferentialFailure(
@@ -136,11 +107,6 @@ def check_instance(spec: FuzzInstance) -> dict:
             raise DifferentialFailure(
                 f"{name}: certificate rejected — "
                 + "; ".join(str(v) for v in cert.violations))
-        gap_cert = certify_gap(compiled.model, result)
-        if not gap_cert.ok:
-            raise DifferentialFailure(
-                f"{name}: gap certification rejected — "
-                + "; ".join(str(v) for v in gap_cert.violations))
         report = audit_cycle(state, compiled, result, exprs,
                              quantum_s=spec.quantum_s)
         if not report.ok:
@@ -151,17 +117,6 @@ def check_instance(spec: FuzzInstance) -> dict:
         scale = max(1.0, abs(reference)) if reference is not None else 1.0
         if reference is None:
             reference = result.objective
-        elif name in GAP_TOLERANT:
-            # The repaired incumbent may undershoot the optimum, but only
-            # within its own audited gap — and never overshoot it.
-            shortfall = reference - result.objective
-            allowance = result.gap * max(1.0, abs(result.objective))
-            if shortfall > allowance + AGREEMENT_TOL * scale \
-                    or shortfall < -AGREEMENT_TOL * scale:
-                raise DifferentialFailure(
-                    f"{name} objective {result.objective!r} outside its "
-                    f"audited gap {result.gap!r} of the oracle "
-                    f"{reference!r} (all so far: {objectives})")
         elif abs(result.objective - reference) > AGREEMENT_TOL * scale:
             raise DifferentialFailure(
                 f"{name} objective {result.objective!r} disagrees with "

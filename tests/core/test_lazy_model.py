@@ -176,6 +176,12 @@ def test_event_counters_and_profile_line_say_what_was_assembled():
 #: ``CycleStats`` fields that are wall-clock readings.
 TIMINGS = ("solver_latency_s", "cycle_latency_s", "stage_timings")
 
+#: ``CycleStats`` fields of the deleted relaxation-repair strategy, at the
+#: value they read on every exact cycle.  The fixture's digests were recorded
+#: with them, so a record carries them to keep the fixture as it was.
+RETIRED = {"colgen_rounds": 0, "colgen_columns_priced": 0,
+           "repair_gap": 0.0, "repair_escalations": 0}
+
 
 class _Recording(TetriSchedAdapter):
     """Keeps what every cycle, periodic or arrival, decided."""
@@ -189,7 +195,8 @@ class _Recording(TetriSchedAdapter):
         stats = dataclasses.asdict(decisions.stats)
         stages = sorted(str(stage) for stage in stats["stage_timings"])
         self.records.append({
-            "stats": {k: v for k, v in stats.items() if k not in TIMINGS},
+            "stats": {**RETIRED, **{k: v for k, v in stats.items()
+                                    if k not in TIMINGS}},
             "stages": [s for s in stages if s != "audit"],
             "allocations": [[a.job_id, sorted(a.nodes), a.start_time,
                              a.expected_end] for a in decisions.allocations],

@@ -34,10 +34,9 @@ class TestUnsetSentinel:
 
     def test_fields_default_to_unset(self):
         opts = SolveOptions()
-        for name in ("rel_gap", "time_limit", "node_limit", "warm_start",
-                     "solve_mode", "repair_gap_threshold", "column_groups"):
+        for name in ("rel_gap", "time_limit", "node_limit", "warm_start"):
             assert getattr(opts, name) is UNSET
-        assert len(dataclasses.fields(SolveOptions)) == 7
+        assert len(dataclasses.fields(SolveOptions)) == 4
 
 
 class TestMerge:
@@ -56,7 +55,6 @@ class TestMerge:
         opts = resolve(SolveOptions(rel_gap=0.25))
         assert opts.rel_gap == 0.25
         assert opts.node_limit == DEFAULT_OPTIONS.node_limit
-        assert opts.solve_mode == "exact"
         assert resolve(None) is DEFAULT_OPTIONS
 
     def test_get_with_default(self):

@@ -133,9 +133,9 @@ class TestDeprecation:
 
 class TestConfigLayering:
     def test_partial_merges_over_base(self):
-        patch = TetriSchedConfig.partial(solve_mode="repair", rel_gap=0.5)
+        patch = TetriSchedConfig.partial(plan_ahead_s=48.0, rel_gap=0.5)
         merged = patch.merged_into(TetriSchedConfig(quantum_s=7))
-        assert merged.solve_mode == "repair"
+        assert merged.plan_ahead_s == 48.0
         assert merged.rel_gap == 0.5
         assert merged.quantum_s == 7
 
@@ -149,15 +149,15 @@ class TestConfigLayering:
 
     def test_open_resolves_partial_config(self):
         api = Scheduler.open(
-            "2x4", TetriSchedConfig.partial(solve_mode="repair"))
+            "2x4", TetriSchedConfig.partial(plan_ahead_s=48.0))
         assert api.config.is_resolved()
-        assert api.config.solve_mode == "repair"
+        assert api.config.plan_ahead_s == 48.0
         assert api.config.cycle_s == TetriSchedConfig().cycle_s
 
     def test_resolve_none_gives_defaults(self):
         cfg = resolve_config(None)
         assert cfg.is_resolved()
-        assert cfg.solve_mode == "exact"
+        assert cfg.plan_ahead_s == 96.0
 
     def test_validate_rejects_unresolved(self):
         with pytest.raises(SchedulerError, match="unresolved"):
@@ -166,7 +166,8 @@ class TestConfigLayering:
     @pytest.mark.parametrize("kw,match", [
         (dict(quantum_s=0), "quantum_s"),
         (dict(cycle_s=-1), "cycle_s"),
-        (dict(solve_mode="sometimes"), "solve_mode"),
+        # Accepted until it raised mid-run at the first SLO arrival.
+        (dict(deadline_grace_quanta=-1.0), "deadline_grace_quanta"),
         (dict(rel_gap=-0.1), "rel_gap"),
         # 0.0 used to be accepted and placed no contended job, silently.
         (dict(solver_time_limit=0.0), "solver_time_limit"),
@@ -177,6 +178,6 @@ class TestConfigLayering:
             TetriSchedConfig(**kw).validate()
 
     def test_validate_returns_self(self):
-        cfg = TetriSchedConfig(solve_mode="auto", solver_time_limit=None)
+        cfg = TetriSchedConfig(solver_time_limit=None)
         assert cfg.validate() is cfg
-        assert len(dataclasses.fields(cfg)) == 20
+        assert len(dataclasses.fields(cfg)) == 18
