@@ -7,8 +7,10 @@ view: which nodes are held by which running job and until when the job is
 and may be wrong — the scheduler adjusts them upward when a job overruns
 (Sec. 7.1), which is exactly how TetriSched tolerates under-estimation.
 
-The per-quantum availability profile produced by :meth:`availability_profile`
-feeds the MILP supply constraints ``sum(P in used(x,t)) <= avail(x, t)``.
+:meth:`availability_grid` — every partition's free-node count per quantum,
+from one grouped count over the held-quanta vector — is what the compiler
+reads for the MILP supply constraints ``sum(P in used(x,t)) <= avail(x, t)``;
+:meth:`availability_profile` is the same count for one node group.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class ClusterState:
         if not universe:
             raise ClusterError("universe must not be empty")
         self.universe = universe
-        #: Node names in sorted order; a node's position here is its row
+        #: Node names in sorted order; a node's position here is its index
         #: in every per-node array (:meth:`held_quanta`, the plan
         #: accumulator's occupancy grid).
         self.node_order: tuple[str, ...] = tuple(sorted(universe))
@@ -245,8 +247,7 @@ class ClusterState:
         held = np.minimum(self.held_quanta(now, quantum_s), horizon_quanta)
         released = np.bincount(partitioning.node_pid * width + held,
                                minlength=partitioning.num_partitions * width)
-        return np.cumsum(released.reshape(-1, width)[:, :horizon_quanta],
-                         axis=1)
+        return released.reshape(-1, width)[:, :horizon_quanta].cumsum(axis=1)
 
     def utilization(self) -> float:
         """Fraction of nodes currently held."""

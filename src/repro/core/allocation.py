@@ -50,48 +50,50 @@ class Allocation:
 class PlanAccumulator:
     """Per-node occupancy (in quanta from "now") within one scheduling cycle.
 
-    Occupancy is one ``nodes x horizon`` boolean grid, rows in
-    :attr:`ClusterState.node_order` (sorted-name) order, so every query is a
-    row-gather plus one reduction and "the first ``k`` free nodes" is the
-    same deterministic sorted-name choice on every run.  The grid is seeded
-    from the state's held-quanta vector (running jobs up to their expected
-    release, drained nodes for the whole horizon) and grows on demand;
-    the caller :meth:`reserve`-s nodes for planned placements as they are
-    materialized.
+    Occupancy is one ``quanta x nodes`` boolean grid, nodes in
+    :attr:`ClusterState.node_order` (sorted-name) order: "which nodes are
+    busy somewhere in ``[start, end)``" is one reduction over contiguous
+    rows, and "the first ``k`` free nodes" the same sorted-name choice on
+    every run.  The grid has a row per quantum a caller expects to read (a
+    cycle's batch horizon) and grows on demand; a row is seeded from the
+    held-quanta vector (running jobs up to their expected release, drained
+    nodes everywhere) when a query first reaches it, so its size follows
+    what is read, never how long a job holds its nodes.  The caller
+    :meth:`reserve`-s nodes for planned placements as they are materialized.
     """
 
-    def __init__(self, state: ClusterState, now: float,
-                 quantum_s: float) -> None:
+    def __init__(self, state: ClusterState, now: float, quantum_s: float,
+                 horizon: int = 32) -> None:
         self.universe = state.universe
         self.now = now
         self.quantum_s = quantum_s
         self._state = state
         self.partitioning = state.partitioning
-        held = state.held_quanta(now, quantum_s)
-        #: Out-of-service rows: occupied in every column, present or grown.
-        self._drained = held == HELD_FOREVER
-        width = max(32, int(held[~self._drained].max(initial=0)))
-        self._occ = np.arange(width) < held[:, None]
+        self._held = state.held_quanta(now, quantum_s)
+        self._occ = np.empty((horizon, self._held.shape[0]), dtype=bool)
+        #: Rows ``[0, _seeded)`` are seeded (and maybe reserved since).
+        self._seeded = 0
 
-    def _window(self, rows: np.ndarray, start: int,
-                duration: int) -> np.ndarray:
-        """Occupancy of ``rows`` over ``[start, start+duration)``."""
+    def _span(self, start: int, duration: int) -> np.ndarray:
+        """Occupancy of every node over ``[start, start+duration)``."""
         end = start + duration
-        have = self._occ.shape[1]
-        if end > have:
-            grown = np.zeros((self._occ.shape[0], max(end, 2 * have)),
-                             dtype=bool)
-            grown[:, :have] = self._occ
-            grown[self._drained, have:] = True
-            self._occ = grown
-        return self._occ[rows, start:end]
+        if end > self._seeded:
+            if end > self._occ.shape[0]:
+                grown = np.empty((max(end, 2 * self._occ.shape[0]),
+                                  self._held.shape[0]), dtype=bool)
+                grown[:self._seeded] = self._occ[:self._seeded]
+                self._occ = grown
+            np.less.outer(np.arange(self._seeded, end), self._held,
+                          out=self._occ[self._seeded:end])
+            self._seeded = end
+        return self._occ[start:end]
 
     def free_rows(self, rows: np.ndarray, start: int,
                   duration: int) -> np.ndarray:
         """Those of ``rows`` (a partition's, ascending) free for the whole
         interval.  Exposed to the STRL compiler so greedy-mode MILPs never
         plan counts that node-level fragmentation would make unassignable."""
-        return rows[~self._window(rows, start, duration).any(axis=1)]
+        return rows[~self._span(start, duration).any(axis=0)[rows]]
 
     # -- availability-provider interface (mirrors ClusterState) -------------
     def availability_profile(self, nodes: frozenset[str], horizon_quanta: int,
@@ -99,21 +101,22 @@ class PlanAccumulator:
         """Free-node count per quantum, accounting for tentative plans."""
         if horizon_quanta <= 0:
             return []
-        busy = self._window(self._state.node_indices(nodes), 0, horizon_quanta)
-        return (len(nodes) - busy.sum(axis=0)).tolist()
+        busy = self._span(0, horizon_quanta)[:, self._state.node_indices(nodes)]
+        return (len(nodes) - busy.sum(axis=1)).tolist()
 
     def availability_grid(self, partitioning: Partitioning,
                           horizon_quanta: int, now: float,
                           quantum_s: float) -> np.ndarray:
         """:meth:`availability_profile` of every partition, one per row."""
-        free = ~self._window(slice(None), 0, horizon_quanta)
-        return np.stack([free[rows].sum(axis=0) for rows in partitioning.rows])
+        free = ~self._span(0, horizon_quanta)
+        return np.stack([free[:, rows].sum(axis=1)
+                         for rows in partitioning.rows])
 
     # -- occupancy ------------------------------------------------------------
     def is_free(self, node: str, start: int, duration: int) -> bool:
         """Whether ``node`` is free for the whole ``[start, start+duration)``."""
         row = self._state.node_indices(frozenset((node,)))
-        return not self._window(row, start, duration).any()
+        return not self._span(start, duration)[:, row].any()
 
     def free_nodes_within(self, nodes: frozenset[str], start: int,
                           duration: int) -> list[str]:
@@ -135,15 +138,15 @@ class PlanAccumulator:
         reserved (they are occupied) nor released.
         """
         rows = self._state.node_indices(frozenset(nodes))
-        window = self._window(rows, start, duration)
-        clash = np.argwhere((window == occupied)
-                            | self._drained[rows, np.newaxis])
+        window = self._span(start, duration)[:, rows]
+        drained = self._held[rows] == HELD_FOREVER
+        clash = np.argwhere(((window == occupied) | drained).T)
         if clash.size:
             r, t = clash[0]
             raise SchedulerError(
                 f"node {self._state.node_order[rows[r]]!r} {complaint} "
                 f"quantum {start + int(t)}")
-        self._occ[rows, start:start + duration] = occupied
+        self._occ[start:start + duration, rows] = occupied
 
     def reserve(self, nodes: Iterable[str], start: int, duration: int) -> None:
         """Mark nodes busy for the interval (planned placement)."""
@@ -170,9 +173,11 @@ class PlanAccumulator:
         mean the supply constraints and this accumulator disagree, i.e. a
         compiler bug.
         """
+        busy = self._span(start, duration).any(axis=0)
         chosen: list[np.ndarray] = []
         for pid, count in sorted(node_counts.items()):
-            free = self.free_rows(partitioning.rows[pid], start, duration)
+            rows = partitioning.rows[pid]
+            free = rows[~busy[rows]]
             if len(free) < count:
                 raise SchedulerError(
                     f"partition {pid} has {len(free)} free nodes for "
@@ -181,6 +186,6 @@ class PlanAccumulator:
         if not chosen:
             return frozenset()
         picked = np.concatenate(chosen)
-        self._occ[picked, start:start + duration] = True
+        self._occ[start:start + duration, picked] = True
         order = self._state.node_order
         return frozenset(order[r] for r in picked.tolist())

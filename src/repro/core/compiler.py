@@ -24,10 +24,11 @@ bookkeeping to map a MILP solution back to per-job space-time allocations.
 The unit of compilation is one job, and the output is flat arrays, never
 objects.  ``gen`` appends every column (bound, domain), row (entries,
 sense), objective term and leaf-table entry it generates straight onto the
-list buffers of a :class:`JobFragment`, in a *local* (fragment-relative)
-column space; nothing builds a ``LinExpr``, a ``Variable`` or a
+list buffers of a :class:`JobFragment`, numbered in the cycle's column
+space (fragments are compiled in batch order, each starting where the one
+before ended); nothing builds a ``LinExpr``, a ``Variable`` or a
 ``Constraint``.  :func:`assemble_batch` concatenates the fragments' columns
-and leaf tables at their column offsets and reads every partition's
+and leaf tables, one conversion per buffer, and reads every partition's
 availability: all a cycle that books directly ever looks at.  The MILP — the
 cross-job supply rows, derived by one grouped sort over the leaf table (which
 doubles as the ``used(x, t)`` ledger), and the CSR export wrapped in an
@@ -44,8 +45,10 @@ job-scoped, stable across cycles, and only generated when somebody reads
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Callable
 
 import numpy as np
@@ -155,8 +158,9 @@ class CompiledBatch:
     """A compiled scheduling-cycle MILP plus decode metadata.
 
     The decode metadata is a flat *leaf table*: leaf ``i`` of the batch is
-    ``leaves[i]``, belongs to job ``job_order[leaf_job[i]]``, is switched
-    by column ``leaf_indicator[i]`` and owns the entries
+    ``leaves[i]``, belongs to job ``job_order[j]`` for the ``j`` with
+    ``job_first[j] <= i < job_first[j+1]``, is switched by column
+    ``leaf_indicator[i]`` and owns the entries
     ``leaf_ptr[i]:leaf_ptr[i+1]``, in ascending partition order: entry ``e``
     draws ``leaf_coef[e] * x[leaf_pcol[e]]`` nodes from partition
     ``leaf_pid[e]`` — a partition variable with coefficient 1, or the
@@ -173,9 +177,9 @@ class CompiledBatch:
     #: Top-level indicator column of every job in the batch.
     job_columns: dict[str, int]
     leaves: list[NCk | LnCk]
-    leaf_job: np.ndarray
+    #: Leaf-table index of each job's first leaf, then the table length.
+    job_first: list[int]
     leaf_indicator: np.ndarray
-    leaf_is_nck: np.ndarray
     leaf_ptr: np.ndarray
     leaf_pcol: np.ndarray
     leaf_pid: np.ndarray
@@ -184,10 +188,10 @@ class CompiledBatch:
     #: maximize-sense objective coefficient.
     col_ub: np.ndarray
     objective: np.ndarray
+    #: ``avail(x, t)``, one row per partition: the free-node count per
+    #: quantum the supply rows are written against.
+    supply: np.ndarray
     _assemble: Callable[[], Model]
-    #: ``avail(x, t)`` of every partition some leaf draws on: pid -> the
-    #: free-node count per quantum the supply rows are written against.
-    availability: dict[int, np.ndarray] = field(default_factory=dict)
     #: :meth:`Model.stats` of the cycle MILP, assembled or not.
     stats: dict[str, int] = field(default_factory=dict)
     #: Kill-decision column per preemption candidate.
@@ -213,13 +217,25 @@ class CompiledBatch:
     def assembled(self) -> bool:
         return self._model is not None
 
+    @cached_property
+    def availability(self) -> dict[int, np.ndarray]:
+        """:attr:`supply` of every partition some leaf draws on, by pid."""
+        return {pid: self.supply[pid]
+                for pid in np.unique(self.leaf_pid).tolist()}
+
     def objective_value(self, x: np.ndarray) -> float:
         """``model.objective_value(x)``, bit for bit, without the model."""
         return float(self.objective @ x) + 0.0
 
     def job_of(self, leaf: int) -> str:
         """Job id owning row ``leaf`` of the leaf table."""
-        return self.job_order[self.leaf_job[leaf]]
+        return self.job_order[bisect_right(self.job_first, leaf) - 1]
+
+    @property
+    def leaf_job(self) -> np.ndarray:
+        """Per leaf: the :attr:`job_order` index of the job owning it."""
+        return np.repeat(np.arange(len(self.job_order)),
+                         np.diff(self.job_first))
 
     @property
     def leaf_records(self) -> list[LeafRecord]:
@@ -271,16 +287,16 @@ class CompiledBatch:
         ascending partition order.
         """
         x = np.asarray(x, dtype=float)
-        counts = np.rint(x[self.leaf_pcol] * self.leaf_coef).astype(np.int64)
-        live = ~self.leaf_is_nck | (x[self.leaf_indicator] >= 0.5)
-        entry_leaf = np.repeat(np.arange(len(self.leaves)),
-                               np.diff(self.leaf_ptr))
-        used = np.flatnonzero((counts > 0) & live[entry_leaf])
+        counts = np.rint(x[self.leaf_pcol] * self.leaf_coef)
+        drawn = (counts > 0).nonzero()[0]
         chosen: dict[int, dict[int, int]] = {}
-        for leaf, pid, count in zip(entry_leaf[used].tolist(),
-                                    self.leaf_pid[used].tolist(),
-                                    counts[used].tolist()):
-            chosen.setdefault(leaf, {})[pid] = count
+        # Only the entries that draw nodes are mapped back to their leaves.
+        for leaf, pid, count in zip(
+                np.searchsorted(self.leaf_ptr[1:], drawn, "right").tolist(),
+                self.leaf_pid[drawn].tolist(), counts[drawn].tolist()):
+            if (type(self.leaves[leaf]) is not NCk
+                    or x[self.leaf_indicator[leaf]] >= 0.5):
+                chosen.setdefault(leaf, {})[pid] = int(count)
         return list(chosen.items())
 
     def decode(self, x: np.ndarray) -> list[PlannedPlacement]:
@@ -334,75 +350,80 @@ class CompiledBatch:
     def _book(self) -> tuple[np.ndarray | None, tuple[str, int, int] | None]:
         if not self.flat or self.preemption_columns or self.resize_candidates:
             return None, None
-        leaves, ptr = self.leaves, self.leaf_ptr
-        ub = self.col_ub
-        supply = np.zeros((len(self.partitioning.partitions), self.horizon))
-        for pid, profile in self.availability.items():
-            supply[pid] = profile
-        left = supply.copy()
-        #: Leaf-table entries per partition — how much of the batch can use
-        #: it — and the same summed over each leaf's partitions.
-        wanted = np.bincount(self.leaf_pid, minlength=supply.shape[0])
-        crowd = np.add.reduceat(wanted[self.leaf_pid], ptr[:-1])
-        first = np.searchsorted(
-            self.leaf_job, np.arange(len(self.job_order) + 1)).tolist()
+        # Over the whole table, vectorized: what each entry's column can
+        # draw.  Everything after that loops over what a decision visits:
+        # the jobs booked before the first miss, and the leaves tried for
+        # each.  The tie-breaks are counted (over the whole table) the
+        # first time a decision has a tie to break.
+        leaves, ptr, pid_of = self.leaves, self.leaf_ptr, self.leaf_pid
+        supply, first = self.supply, self.job_first
+        left = supply.astype(float)
+        cap = self.col_ub[self.leaf_pcol] * self.leaf_coef
+        counted: list = []
 
-        def by_preference(j: int) -> list[int]:
-            """Job ``j``'s leaves, best value first; among equals, the one
-            whose partitions the rest of the batch can use least."""
-            lo, hi = first[j], first[j + 1]
-            keys = list(zip([-leaf.value for leaf in leaves[lo:hi]],
-                            crowd[lo:hi].tolist()))
-            return [lo + i for i in sorted(range(hi - lo),
-                                           key=keys.__getitem__)]
+        def crowding() -> list:
+            """Leaf-table entries per partition — how much of the batch can
+            use it — and per leaf the same summed over its partitions."""
+            if not counted:
+                wanted = np.bincount(pid_of, minlength=supply.shape[0])
+                counted.extend((wanted.tolist(),
+                                np.add.reduceat(wanted[pid_of], ptr[:-1])))
+            return counted
 
-        def cells(grid: np.ndarray, i: int) -> np.ndarray:
-            """Leaf ``i``'s footprint on ``grid``: its partitions x quanta."""
-            start = leaves[i].start
-            return grid[self.leaf_pid[ptr[i]:ptr[i + 1]],
-                        start:start + leaves[i].duration]
+        def room(grid: np.ndarray, caps: list, pids: list,
+                 span: slice) -> list:
+            """Nodes a leaf can take from each of its partitions."""
+            return [min(c, grid[p, span].min()) for c, p in zip(caps, pids)]
 
-        def room(grid: np.ndarray, i: int) -> np.ndarray:
-            """Nodes leaf ``i`` can take from each of its partitions."""
-            entries = slice(ptr[i], ptr[i + 1])
-            return np.minimum(
-                ub[self.leaf_pcol[entries]] * self.leaf_coef[entries],
-                cells(grid, i).min(axis=1))
-
-        x = np.zeros(ub.shape[0])
+        x = np.zeros(self.col_ub.shape[0])
         for j, job_id in enumerate(self.job_order):
+            # Job j's leaves, best value first; among equals, the one whose
+            # partitions the rest of the batch can use least.
+            lo, hi = first[j], first[j + 1]
+            keys = [-leaf.value for leaf in leaves[lo:hi]]
+            if len(set(keys)) < len(keys):
+                keys = list(zip(keys, crowding()[1][lo:hi].tolist()))
             lost = None  # best leaf that fits the supply but not what is left
-            for i in by_preference(j):
+            for i in sorted(range(hi - lo), key=keys.__getitem__):
+                i += lo
                 leaf = leaves[i]
                 if leaf.value <= 0.0 or (lost is not None
                                          and leaf.value < leaves[lost].value):
                     break
-                free = room(left, i)
-                if free.sum() < leaf.k:
-                    if lost is None and room(supply, i).sum() >= leaf.k:
+                e0, e1 = ptr[i:i + 2].tolist()
+                caps, pids = cap[e0:e1].tolist(), pid_of[e0:e1].tolist()
+                span = slice(leaf.start, leaf.start + leaf.duration)
+                free = room(left, caps, pids, span)
+                if sum(free) < leaf.k:
+                    if (lost is None
+                            and sum(room(supply, caps, pids, span)) >= leaf.k):
                         lost = i
                     continue
                 # Draw from the partitions the rest of the batch can use
                 # least first, so a wide leaf does not empty the only
                 # partition a narrower one can live in.
-                pids = self.leaf_pid[ptr[i]:ptr[i + 1]]
-                need = leaf.k
-                for e in np.argsort(wanted[pids], kind="stable").tolist():
+                need, order = leaf.k, range(e1 - e0)
+                if len(order) > 1:
+                    wanted = crowding()[0]
+                    order = sorted(order, key=lambda e: wanted[pids[e]])
+                for e in order:
                     take = min(need, free[e])
                     if take > 0:
-                        x[self.leaf_pcol[ptr[i] + e]] = (
-                            take / self.leaf_coef[ptr[i] + e])
-                        left[pids[e],
-                             leaf.start:leaf.start + leaf.duration] -= take
+                        x[self.leaf_pcol[e0 + e]] = (
+                            take / self.leaf_coef[e0 + e])
+                        left[pids[e], span] -= take
                         need -= take
                 x[self.leaf_indicator[i]] = 1.0
                 x[self.job_columns[job_id]] = 1.0
                 lost = None
                 break
             if lost is not None:
-                taken = cells(supply, lost) - cells(left, lost)
+                rows = pid_of[ptr[lost]:ptr[lost + 1]]
+                span = slice(leaves[lost].start,
+                             leaves[lost].start + leaves[lost].duration)
+                taken = supply[rows, span] - left[rows, span]
                 row, quantum = np.unravel_index(np.argmax(taken), taken.shape)
-                return None, (job_id, int(self.leaf_pid[ptr[lost] + row]),
+                return None, (job_id, int(rows[row]),
                               leaves[lost].start + int(quantum))
         return x, None
 
@@ -422,13 +443,14 @@ class CompiledBatch:
 
 @dataclass
 class JobFragment:
-    """One job's compiled STRL slice, relocatable within a cycle model.
+    """One job's compiled STRL slice of a cycle model.
 
-    Flat buffers in a *local* column space (columns 0..n-1, column 0 always
-    the job's top-level indicator), written once by Algorithm 1's walk and
-    only ever concatenated afterwards, so the fragment can be placed at any
-    column offset of the assembled cycle model.  Nothing in it depends on
-    cluster *availability* (supply right-hand sides are added by
+    Flat buffers, written once by Algorithm 1's walk and only ever
+    concatenated afterwards.  The fragment owns the cycle columns
+    ``base .. base + n - 1`` (column ``base`` is the job's top-level
+    indicator), and every buffer holding columns holds cycle columns, so the
+    batch's arrays are the fragments' buffers back to back.  Nothing in it
+    depends on cluster *availability* (supply right-hand sides are added by
     :func:`assemble_batch`), only on the cycle
     :class:`~repro.cluster.partitions.Partitioning`'s membership and
     capacity.
@@ -438,6 +460,8 @@ class JobFragment:
     """
 
     job_id: str
+    #: Cycle column of the fragment's first column, its root indicator.
+    base: int = 0
     #: Per column: upper bound (``inf`` = none), domain code, and the
     #: ``#n`` of its name (0 for the root indicator).
     col_ub: list[float] = field(default_factory=list)
@@ -452,7 +476,7 @@ class JobFragment:
     row_counter: list[int] = field(default_factory=list)
     row_cols: list[int] = field(default_factory=list)
     row_coefs: list[float] = field(default_factory=list)
-    #: Objective contribution, local column -> coefficient (maximize sense).
+    #: Objective contribution, column -> coefficient (maximize sense).
     objective: dict[int, float] = field(default_factory=dict)
     #: Leaf table.  ``leaf_pcol`` / ``leaf_pid`` / ``leaf_coef`` hold each
     #: leaf's ``leaf_parts[i]`` entries back to back; together with
@@ -462,7 +486,6 @@ class JobFragment:
     #: its leaf's interval.
     leaves: list[NCk | LnCk] = field(default_factory=list)
     leaf_indicator: list[int] = field(default_factory=list)
-    leaf_is_nck: list[bool] = field(default_factory=list)
     leaf_start: list[int] = field(default_factory=list)
     leaf_duration: list[int] = field(default_factory=list)
     leaf_parts: list[int] = field(default_factory=list)
@@ -482,12 +505,6 @@ class JobFragment:
     def num_constraints(self) -> int:
         return len(self.row_len)
 
-    @property
-    def horizon(self) -> int:
-        """Last time quantum touched by any leaf (exclusive end)."""
-        return max((start + duration for start, duration
-                    in zip(self.leaf_start, self.leaf_duration)), default=0)
-
     def column_names(self) -> list[str]:
         """Job-scoped (``nCk[job-3]#2``), so fragments never collide and
         names are stable across cycles regardless of batch composition."""
@@ -496,12 +513,12 @@ class JobFragment:
                  for dom, n in zip(self.col_domain, self.col_counter)]
         names[0] = f"I[{job}]"
         entry = 0
-        for is_nck, parts, ind in zip(self.leaf_is_nck, self.leaf_parts,
-                                      self.leaf_indicator):
-            kind = "nCk" if is_nck else "LnCk"
+        for leaf, parts, ind in zip(self.leaves, self.leaf_parts,
+                                    self.leaf_indicator):
+            kind = "nCk" if type(leaf) is NCk else "LnCk"
             for e in range(entry, entry + parts):
-                col = self.leaf_pcol[e]
-                if col != ind:  # a partition variable, not a substituted I
+                col = self.leaf_pcol[e] - self.base
+                if col != ind - self.base:  # a P column, not a substituted I
                     names[col] = (f"P[{kind}[{job}]#{self.col_counter[col]},"
                                   f"p{self.leaf_pid[e]}]")
             entry += parts
@@ -512,10 +529,15 @@ class JobFragment:
                 for kind, n in zip(self.row_kind, self.row_counter)]
 
 
-def _concat(fragments: list[JobFragment], attr: str, dtype) -> np.ndarray:
+def _chained(fragments: list[JobFragment], attr: str):
+    """The same list buffer of every fragment, back to back."""
+    return chain.from_iterable(getattr(f, attr) for f in fragments)
+
+
+def _concat(fragments: list[JobFragment], attr: str,
+            dtype=np.int64) -> np.ndarray:
     """One array out of the same list buffer of every fragment."""
-    return np.fromiter(
-        chain.from_iterable(getattr(f, attr) for f in fragments), dtype)
+    return np.fromiter(_chained(fragments, attr), dtype)
 
 
 def _csr(lengths: np.ndarray, cols: np.ndarray, coefs: np.ndarray,
@@ -526,42 +548,56 @@ def _csr(lengths: np.ndarray, cols: np.ndarray, coefs: np.ndarray,
 
 
 class _Packed:
-    """Fragment buffers concatenated at their column offsets.
+    """Fragment buffers back to back, each converted once.
 
-    Fragment ``k`` occupies columns ``offsets[k]:offsets[k+1]``.  Columns and
-    leaf table are packed on construction, rows only by :meth:`export`; they
-    keep fragment order and, within a fragment, emission order — which is the
-    assembled model's constraint order, so splitting them by ``row_is_eq``
-    yields the export's ``a_ub`` / ``a_eq`` blocks directly.
+    Fragments number their columns in the cycle's column space, so packing
+    is concatenation: every integer buffer of the columns and the leaf table
+    goes through one ``fromiter``, every float buffer through another, and
+    the attributes below are views of those.  Rows are packed only by
+    :meth:`export`; they keep fragment order and, within a fragment, emission
+    order — which is the assembled model's constraint order, so splitting
+    them by ``row_is_eq`` yields the export's ``a_ub`` / ``a_eq`` blocks
+    directly.
     """
 
     def __init__(self, fragments: list[JobFragment]) -> None:
         self.fragments = fragments
-        self.offsets = np.zeros(len(fragments) + 1, dtype=np.int64)
-        np.cumsum([f.num_variables for f in fragments], out=self.offsets[1:])
-        self.ncols = int(self.offsets[-1])
-        self.col_ub = _concat(fragments, "col_ub", float)
+        self.ncols = ncols = fragments[-1].base + len(fragments[-1].col_ub)
+        self.job_first = list(accumulate((len(f.leaves) for f in fragments),
+                                         initial=0))
+        leaves = self.job_first[-1]
+        entries = sum(len(f.leaf_pcol) for f in fragments)
+        terms = sum(len(f.objective) for f in fragments)
+        # Four per leaf (leaf_parts after a 0: it becomes leaf_ptr in place),
+        # two per leaf-table entry, then the objective's columns.
+        ints = np.fromiter(chain(
+            _chained(fragments, "leaf_indicator"),
+            _chained(fragments, "leaf_start"),
+            _chained(fragments, "leaf_duration"),
+            (0,), _chained(fragments, "leaf_parts"),
+            _chained(fragments, "leaf_pcol"), _chained(fragments, "leaf_pid"),
+            _chained(fragments, "objective")),
+            np.int64, count=4 * leaves + 1 + 2 * entries + terms)
+        self.leaf_indicator = ints[:leaves]
+        #: Per leaf: its interval (start, then duration); per leaf-table
+        #: entry: the same, repeated over the leaf's partitions.
+        self.intervals = ints[leaves:3 * leaves].reshape(2, leaves)
+        self.leaf_ptr = ints[3 * leaves:4 * leaves + 1]
+        self.entry_start, self.entry_dur = self.intervals.repeat(
+            self.leaf_ptr[1:], axis=1)
+        self.leaf_ptr.cumsum(out=self.leaf_ptr)
+        at = 4 * leaves + 1
+        self.leaf_pcol = ints[at:at + entries]
+        self.leaf_pid = ints[at + entries:at + 2 * entries]
+        floats = np.fromiter(chain(
+            _chained(fragments, "col_ub"), _chained(fragments, "leaf_coef"),
+            chain.from_iterable(f.objective.values() for f in fragments)),
+            float, count=ncols + entries + terms)
+        self.col_ub = floats[:ncols]
+        self.leaf_coef = floats[ncols:ncols + entries]
+        self.objective = np.zeros(ncols)
+        self.objective[ints[at + 2 * entries:]] = floats[ncols + entries:]
         self.col_domain = _concat(fragments, "col_domain", np.int8)
-        objective = np.zeros(self.ncols)
-        objective[self.shifted("objective")] = np.fromiter(
-            chain.from_iterable(f.objective.values() for f in fragments),
-            float)
-        self.objective = objective
-        self.leaf_parts = _concat(fragments, "leaf_parts", np.int64)
-        self.leaf_pcol = self.shifted("leaf_pcol")
-        self.leaf_pid = _concat(fragments, "leaf_pid", np.int64)
-        self.leaf_coef = _concat(fragments, "leaf_coef", float)
-        #: Per leaf-table entry: its leaf's interval.
-        self.entry_start = np.repeat(
-            _concat(fragments, "leaf_start", np.int64), self.leaf_parts)
-        self.entry_dur = np.repeat(
-            _concat(fragments, "leaf_duration", np.int64), self.leaf_parts)
-
-    def shifted(self, attr: str) -> np.ndarray:
-        """A local-column buffer of every fragment, in cycle columns."""
-        sizes = [len(getattr(f, attr)) for f in self.fragments]
-        return (_concat(self.fragments, attr, np.int64)
-                + np.repeat(self.offsets[:-1], sizes))
 
     def sizes(self, partitions: int, horizon: int) -> dict[str, int]:
         """:meth:`Model.stats` of fragments plus supply rows, counted on the
@@ -569,17 +605,16 @@ class _Packed:
         entry's interval covers, a nonzero per quantum covered."""
         width, frags = horizon + 1, self.fragments
         at = self.leaf_pid * width + self.entry_start
-        ends = np.bincount(at + self.entry_dur, minlength=partitions * width)
-        open_ = np.cumsum((np.bincount(at, minlength=ends.shape[0])
-                           - ends).reshape(-1, width), axis=1)
+        opened = np.bincount(at, minlength=partitions * width)
+        opened -= np.bincount(at + self.entry_dur, minlength=opened.shape[0])
+        continuous, _, binary = np.bincount(self.col_domain,
+                                            minlength=3).tolist()
         return {
             "variables": self.ncols,
-            "integer_variables": int(np.count_nonzero(
-                self.col_domain != _CONTINUOUS)),
-            "binary_variables": int(np.count_nonzero(
-                self.col_domain == _BINARY)),
+            "integer_variables": self.ncols - continuous,
+            "binary_variables": binary,
             "constraints": sum(f.num_constraints for f in frags)
-            + int(np.count_nonzero(open_)),
+            + int(np.count_nonzero(opened.reshape(-1, width).cumsum(axis=1))),
             "nonzeros": sum(len(f.row_cols) for f in frags)
             + int(self.entry_dur.sum())}
 
@@ -591,10 +626,10 @@ class _Packed:
         columns with the given bounds and (maximize-sense) objective —
         the fragments' and one binary per column beyond them."""
         n, frags = col_ub.shape[0], self.fragments
-        row_len = _concat(frags, "row_len", np.int64)
-        row_is_eq = _concat(frags, "row_is_eq", bool)
-        row_cols = self.shifted("row_cols")
-        row_coefs = _concat(frags, "row_coefs", float)
+        row_len = _concat(frags, "row_len")
+        row_is_eq = _concat(frags, "row_is_eq", dtype=bool)
+        row_cols = _concat(frags, "row_cols")
+        row_coefs = _concat(frags, "row_coefs", dtype=float)
         entry_eq = np.repeat(row_is_eq, row_len)
         lengths, cols, coefs, rhs = extra_ub
         ub_len = np.concatenate([row_len[~row_is_eq], lengths])
@@ -690,20 +725,20 @@ def _supply_rows(packed: _Packed, horizon: int, grid: np.ndarray,
 
 
 def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
-                   horizon: int, state: ClusterState, quantum_s: float,
-                   now: float,
+                   state: ClusterState, quantum_s: float, now: float,
                    preemptible: list[PreemptionCandidate] | None = None,
                    resizable: list[ResizeCandidate] | None = None
                    ) -> CompiledBatch:
     """Assemble compiled job fragments into one cycle :class:`CompiledBatch`.
 
-    Columns and leaf tables land at their column offsets
-    (:class:`_Packed`), next to one binary kill-decision column per
-    ``preemptible`` candidate, and everything that depends on the cluster
-    is read here: every partition's availability, the candidates' supply
-    credits.  ``resizable`` entries add no columns: each candidate's
-    fragment root indicator doubles as the release decision, freeing the
-    job's currently-held nodes in every supply row they appear in.
+    Columns and leaf tables are packed back to back (:class:`_Packed`), next
+    to one binary kill-decision column per ``preemptible`` candidate, and
+    everything that depends on the cluster is read here: every partition's
+    availability up to the batch horizon (the last quantum any leaf
+    touches), the candidates' supply credits.
+    ``resizable`` entries add no columns: each candidate's fragment root
+    indicator doubles as the release decision, freeing the job's
+    currently-held nodes in every supply row they appear in.
 
     The model — fragment rows, supply rows (:func:`_supply_rows`), CSR
     export — is built from that by the first read of
@@ -714,8 +749,8 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
     preemptible = preemptible or []
     resizable = resizable or []
     packed = _Packed(fragments)
-    offsets = packed.offsets.tolist()
-    job_columns = {frag.job_id: off for frag, off in zip(fragments, offsets)}
+    horizon = int((packed.intervals[0] + packed.intervals[1]).max())
+    job_columns = {frag.job_id: frag.base for frag in fragments}
     preemption_columns = {cand.job_id: packed.ncols + i
                           for i, cand in enumerate(preemptible)}
     #: (held nodes, releasing column): kills first, then width re-plans.
@@ -740,7 +775,7 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
         # still-running gang.  (A single-leaf fragment already ties the
         # root to its demand row.)
         frag = next(f for f in fragments if f.job_id == cand.job_id)
-        leaf_inds = {root + ind for ind in frag.leaf_indicator}
+        leaf_inds = set(frag.leaf_indicator)
         if leaf_inds != {root}:
             coeffs = {i: -1.0 for i in leaf_inds}
             coeffs[root] = coeffs.get(root, 0.0) + 1.0
@@ -749,10 +784,12 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
     grid = state.availability_grid(partitioning, horizon, now, quantum_s)
     freed = (_freed_entries(candidates, partitioning, state, horizon,
                             quantum_s, now) if candidates else None)
-    col_ub = np.concatenate([packed.col_ub, np.ones(len(preemptible))])
-    # Maximize-sense coefficient of a kill decision is -penalty.
-    objective = np.concatenate([packed.objective, np.array(
-        [-float(cand.penalty) for cand in preemptible])])
+    col_ub, objective = packed.col_ub, packed.objective
+    if preemptible:
+        col_ub = np.concatenate([col_ub, np.ones(len(preemptible))])
+        # Maximize-sense coefficient of a kill decision is -penalty.
+        objective = np.concatenate([objective, np.array(
+            [-float(cand.penalty) for cand in preemptible])])
 
     def assemble() -> Model:
         obs.count("scheduler.model.assembled")
@@ -786,26 +823,19 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
                  np.full(len(preemptible), _BINARY, dtype=np.int8)]),
             row_is_eq=row_is_eq, col_names=col_names, row_names=row_names))
 
-    leaf_counts = [len(frag.leaves) for frag in fragments]
-    leaf_ptr = np.zeros(sum(leaf_counts) + 1, dtype=np.int64)
-    np.cumsum(packed.leaf_parts, out=leaf_ptr[1:])
     model = assemble() if candidates else None
     return CompiledBatch(
         partitioning=partitioning, horizon=horizon,
         job_order=[frag.job_id for frag in fragments],
         job_columns=job_columns,
         leaves=list(chain.from_iterable(f.leaves for f in fragments)),
-        leaf_job=np.repeat(np.arange(len(fragments)), leaf_counts),
-        leaf_indicator=(_concat(fragments, "leaf_indicator", np.int64)
-                        + np.repeat(packed.offsets[:-1], leaf_counts)),
-        leaf_is_nck=_concat(fragments, "leaf_is_nck", bool),
-        leaf_ptr=leaf_ptr, leaf_pcol=packed.leaf_pcol,
-        leaf_pid=packed.leaf_pid, leaf_coef=packed.leaf_coef,
-        col_ub=col_ub, objective=objective, _assemble=assemble,
-        availability={pid: grid[pid]
-                      for pid in np.unique(packed.leaf_pid).tolist()},
+        job_first=packed.job_first, leaf_indicator=packed.leaf_indicator,
+        leaf_ptr=packed.leaf_ptr,
+        leaf_pcol=packed.leaf_pcol, leaf_pid=packed.leaf_pid,
+        leaf_coef=packed.leaf_coef,
+        col_ub=col_ub, objective=objective, supply=grid, _assemble=assemble,
         stats=(model.stats() if candidates else packed.sizes(
-            len(partitioning.partitions), horizon)),
+            partitioning.num_partitions, horizon)),
         preemption_columns=preemption_columns,
         resize_candidates={cand.job_id: cand for cand in active_resizes},
         flat=all(frag.flat for frag in fragments), _model=model)
@@ -896,10 +926,13 @@ class StrlCompiler:
             seen_ids.add(job_id)
 
         partitioning = self.build_partitioning([expr for _, expr in batch])
-        fragments = [self.compile_fragment(job_id, expr, partitioning)
-                     for job_id, expr in batch]
-        horizon = max(frag.horizon for frag in fragments)
-        return assemble_batch(fragments, partitioning, horizon, self.state,
+        fragments: list[JobFragment] = []
+        base = 0
+        for job_id, expr in batch:
+            fragments.append(self.compile_fragment(job_id, expr,
+                                                   partitioning, base))
+            base += fragments[-1].num_variables
+        return assemble_batch(fragments, partitioning, self.state,
                               self.quantum_s, self.now,
                               preemptible=preemptible, resizable=resizable)
 
@@ -915,8 +948,10 @@ class StrlCompiler:
         return Partitioning(self.state.universe, [*eq_sets, *singletons])
 
     def compile_fragment(self, job_id: str, expr: StrlNode,
-                         partitioning: Partitioning) -> JobFragment:
-        """Compile one job's STRL into a relocatable :class:`JobFragment`.
+                         partitioning: Partitioning,
+                         base: int = 0) -> JobFragment:
+        """Compile one job's STRL into a :class:`JobFragment` whose columns
+        start at cycle column ``base``.
 
         Runs Algorithm 1's ``gen`` with the fragment's buffers as the
         output: every column, row, objective term and leaf-table entry is
@@ -930,13 +965,13 @@ class StrlCompiler:
         # Per-slice supply alone can overestimate capacity once tentative
         # reservations create non-prefix busy intervals.
         self._free_rows = getattr(self.state, "free_rows", None)
-        frag = self._frag = JobFragment(job_id)
+        frag = self._frag = JobFragment(job_id, base)
         # Job-scoped naming: the counter restarts per fragment and names
         # embed the job id, so names are unique across any batch and
         # *stable* across cycles no matter which jobs come and go.
         self._counter = 0
         self._column(1.0, _BINARY, 0)
-        frag.objective = self._gen(expr, 0)
+        frag.objective = self._gen(expr, base)
         frag.flat = type(expr) is NCk or (
             type(expr) is Max and set(map(type, expr.subexprs)) == {NCk})
         del self._frag
@@ -952,7 +987,7 @@ class StrlCompiler:
         frag.col_ub.append(ub)
         frag.col_domain.append(domain)
         frag.col_counter.append(counter)
-        return len(frag.col_ub) - 1
+        return frag.base + len(frag.col_ub) - 1
 
     def _row(self, terms: dict[int, float], is_eq: bool, kind: int,
              counter: int) -> None:
@@ -1014,7 +1049,7 @@ class StrlCompiler:
         substitute = fits[0]
         mp = 0 if substitute else m  # partition variables per leaf
         stride = mp + own
-        col0 = len(frag.col_ub)
+        col0 = frag.base + len(frag.col_ub)
         cols = range(col0, col0 + stride * r)
         indicators = list(cols[::stride]) if own else [indicator] * r
         pcols = (indicators if substitute else
@@ -1053,7 +1088,6 @@ class StrlCompiler:
 
         frag.leaves.extend(run)
         frag.leaf_indicator.extend(indicators)
-        frag.leaf_is_nck.extend([is_nck] * r)
         frag.leaf_start.extend([leaf.start for leaf in run])
         frag.leaf_duration.extend([leaf.duration for leaf in run])
         frag.leaf_parts.extend([m] * r)
@@ -1110,10 +1144,12 @@ class StrlCompiler:
                 while (j < n and type(children[j]) is NCk
                        and children[j].nodes is nodes and children[j].k == k):
                     j += 1
-                indicators, _ = self._leaves(children[i:j])
+                run = children[i:j]
+                indicators, _ = self._leaves(run)
                 row.update(dict.fromkeys(indicators, 1.0))
-                _merge(objective, {ci: leaf.value for ci, leaf
-                                   in zip(indicators, children[i:j])})
+                # Fresh columns: merging them only drops the zero values.
+                objective.update({ci: leaf.value for ci, leaf
+                                  in zip(indicators, run) if leaf.value})
             else:
                 ci = self._column(1.0, _BINARY, self._fresh())
                 row[ci] = 1.0

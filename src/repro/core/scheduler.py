@@ -704,9 +704,9 @@ class TetriSched:
         current width makes staying put weakly dominate inaction, so the
         fragment competes fairly without ever forcing a resize.
         """
-        from repro.core.compiler import ResizeCandidate
         if not self.config.elastic_mode:  # validate(): implies global
             return []
+        from repro.core.compiler import ResizeCandidate
         congested = self._congestion[0]
         fragments = []
         for job_id in sorted(self._launched):
@@ -855,10 +855,8 @@ class TetriSched:
                      acc: PlanAccumulator, requests, now) -> list[Allocation]:
         """Turn decoded placements into launch decisions for start == 0."""
         allocs: list[Allocation] = []
-        # Reserve deferred placements first so they are never cannibalized
-        # by now-starting picks of overlapping partitions? No: reservation
-        # order does not matter for feasibility (supply constraints hold for
-        # every quantum), but deterministic order aids reproducibility.
+        # The supply rows hold for every quantum, so any pick order fits;
+        # a fixed one (by start, then job) makes the chosen nodes repeatable.
         for pl in sorted(placements, key=lambda p: (p.start, p.job_id)):
             nodes = acc.pick(compiled.partitioning, pl.node_counts,
                              pl.start, pl.duration)
@@ -916,9 +914,9 @@ class TetriSched:
 
         # Index compiled leaves by (job, eq-set, start, duration).
         by_key: dict[tuple, int] = {}
-        for i, leaf in enumerate(compiled.leaves):
-            by_key.setdefault((int(compiled.leaf_job[i]), leaf.nodes,
-                               leaf.start, leaf.duration), i)
+        for i, (job, leaf) in enumerate(zip(compiled.leaf_job.tolist(),
+                                            compiled.leaves)):
+            by_key.setdefault((job, leaf.nodes, leaf.start, leaf.duration), i)
         job_index = {job_id: j for j, job_id in enumerate(compiled.job_order)}
 
         x = np.zeros(upper.shape[0])

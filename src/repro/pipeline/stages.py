@@ -281,7 +281,8 @@ class Extract:
                 sched._prev_now = ctx.now
 
         with obs.span("materialize"):
-            acc = PlanAccumulator(sched.state, ctx.now, ctx.config.quantum_s)
+            acc = PlanAccumulator(sched.state, ctx.now, ctx.config.quantum_s,
+                                  compiled.horizon)
             ctx.result.allocations = sched._materialize(
                 placements, compiled, acc, ctx.requests, ctx.now)
 

@@ -118,6 +118,16 @@ class NCk(StrlNode):
         _check_leaf(self.nodes, self.k, self.start, self.duration,
                     self.value, "nCk")
 
+    @classmethod
+    def _unchecked(cls, nodes: frozenset[str], k: int, start: int,
+                   duration: int, value: float) -> "NCk":
+        """A leaf whose fields the caller has already validated (the
+        generator checks each placement option once, not each start)."""
+        leaf = object.__new__(cls)
+        leaf.__dict__.update(nodes=nodes, k=k, start=start,
+                             duration=duration, value=value)
+        return leaf
+
     def max_value(self) -> float:
         return self.value
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import StrlError
-from repro.strl.ast import ElasticNCk, Max, NCk, StrlNode, Sum
+from repro.strl.ast import ElasticNCk, Max, NCk, StrlNode, Sum, _check_leaf
 from repro.valuefn import ValueFunction
 
 
@@ -123,21 +123,33 @@ def generate_job_strl(options: list[SpaceOption], value_fn: ValueFunction,
     if plan_ahead_quanta < 0:
         raise StrlError("plan_ahead_quanta must be >= 0")
     leaves: list[NCk] = []
+    latest = (deadline + 1e-9 if cull and deadline is not None
+              else math.inf)
     for opt in options:
         if not opt.feasible:
             continue
+        nodes, k = opt.nodes, opt.k
         dur_q = quantize_duration(opt.duration_s, quantum_s)
+        checked = False
         for start_q in range(plan_ahead_quanta + 1):
-            completion = now + (start_q + dur_q) * quantum_s
-            if cull and deadline is not None and completion > deadline + 1e-9:
+            end_q = start_q + dur_q
+            completion = now + end_q * quantum_s
+            if completion > latest:
                 break  # later starts only finish later; stop this option
             value = value_fn(completion)
             if cull and value <= 0.0:
                 continue
             if earliness_bias and value > 0.0:
-                value *= max(0.1, 1.0 - earliness_bias * (start_q + dur_q))
-            leaves.append(NCk(nodes=opt.nodes, k=opt.k, start=start_q,
-                              duration=dur_q, value=value))
+                scale = 1.0 - earliness_bias * end_q
+                value *= scale if scale > 0.1 else 0.1  # max(0.1, scale)
+            # An option's leaves differ only in start (>= 0) and value: its
+            # first leaf gets NCk's whole check, the others the value's.
+            if not checked:
+                _check_leaf(nodes, k, start_q, dur_q, value, "nCk")
+                checked = True
+            elif value < 0:
+                raise StrlError(f"nCk: value must be nonnegative, got {value}")
+            leaves.append(NCk._unchecked(nodes, k, start_q, dur_q, value))
     if not leaves:
         return None
     if len(leaves) == 1:

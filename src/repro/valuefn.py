@@ -62,9 +62,12 @@ class LinearDecayValue:
             raise ValueError("decay_horizon must be positive")
 
     def __call__(self, completion_time: float) -> float:
-        sojourn = max(0.0, completion_time - self.release_time)
+        # ``max(0.0, s)`` and ``max(floor, d)`` as conditional expressions:
+        # the same results, NaN included, without two builtin calls per leaf.
+        sojourn = completion_time - self.release_time
+        sojourn = sojourn if sojourn > 0.0 else 0.0
         decayed = self.value * (1.0 - sojourn / self.decay_horizon)
-        return max(self.floor, decayed)
+        return decayed if decayed > self.floor else self.floor
 
 
 @dataclass(frozen=True)

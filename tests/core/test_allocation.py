@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.cluster import ClusterState, Partitioning
-from repro.core import Allocation, PlanAccumulator
+from repro.api import Scheduler
+from repro.cluster import Cluster, ClusterState, Partitioning
+from repro.core import (Allocation, JobRequest, PlanAccumulator,
+                        PriorityClass, TetriSchedConfig)
 from repro.errors import SchedulerError
+from repro.pipeline import stages
+from repro.strl import SpaceOption
+from repro.valuefn import StepValue
 
 UNIVERSE = frozenset({"a", "b", "c", "d"})
 
@@ -100,3 +105,39 @@ class TestPlanAccumulator:
         acc = PlanAccumulator(state, 0.0, 10.0)
         with pytest.raises(SchedulerError):
             acc.unreserve(frozenset({"a"}), 0, 1)
+
+
+class TestGridFollowsTheHorizon:
+    """The occupancy grid covers the quanta a cycle reads, not the longest
+    hold: a job expected to run for 1e6 s does not make it 25 000 wide."""
+
+    def test_pick_past_a_long_hold(self, state):
+        state.start("long", frozenset({"a"}), 0.0, 1e6)
+        acc = PlanAccumulator(state, 0.0, 10.0, horizon=3)
+        part = Partitioning(UNIVERSE, [UNIVERSE])
+        assert acc.pick(part, {0: 2}, 0, 3) == frozenset({"b", "c"})
+        assert not acc.is_free("a", 40, 2)  # read past the grid: it grows
+        assert acc.pick(part, {0: 1}, 0, 3) == frozenset({"d"})
+        assert acc._occ.shape[0] <= 2 * 42
+
+    def test_a_cycle_grid_is_its_batch_horizon(self, monkeypatch):
+        made: list[PlanAccumulator] = []
+
+        class Recording(PlanAccumulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(stages, "PlanAccumulator", Recording)
+        api = Scheduler.open(Cluster.build(racks=1, nodes_per_rack=4),
+                             TetriSchedConfig(quantum_s=10, cycle_s=10,
+                                              plan_ahead_s=40))
+        api.core.state.start("long", frozenset({"r0n0"}), 0.0, 1e6)
+        api.submit(JobRequest(
+            "j", (SpaceOption(api.cluster.node_names, 2, 20.0),),
+            StepValue(10.0, 1000.0), PriorityClass.BEST_EFFORT, 0.0))
+        [alloc] = api.run_cycle(0.0).allocations
+        assert alloc.nodes == frozenset({"r0n1", "r0n2"})
+        # Starts 0..4, two quanta each: the batch reads quanta 0..5.
+        [acc] = made
+        assert acc._occ.shape == (6, 4)

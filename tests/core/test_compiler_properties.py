@@ -198,8 +198,8 @@ class TestBulkEmission:
             assert ([c.name for c in bulk.model.constraints]
                     == [c.name for c in other.model.constraints])
             assert bulk.leaves == other.leaves
-            for attr in ("leaf_job", "leaf_indicator", "leaf_is_nck",
-                         "leaf_ptr", "leaf_pcol", "leaf_pid"):
+            for attr in ("leaf_job", "leaf_indicator", "leaf_ptr",
+                         "leaf_pcol", "leaf_pid"):
                 assert np.array_equal(getattr(bulk, attr),
                                       getattr(other, attr))
 

@@ -88,6 +88,21 @@ class TestGenerateJobStrl:
         with pytest.raises(StrlError):
             generate_job_strl(self.options(), StepValue(1.0, 10.0), 0.0, 10, -1)
 
+    def test_malformed_leaves_still_raise(self):
+        """Leaves are validated once per option, then their values inline:
+        every malformed input raises as when each leaf checked itself."""
+        with pytest.raises(StrlError, match="frozenset"):
+            generate_job_strl([SpaceOption(set(ALL), 2, 20)],
+                              StepValue(1.0, 1000.0), 0.0, 10, 2)
+        with pytest.raises(StrlError, match="nonnegative"):
+            generate_job_strl(self.options(), lambda t: -1.0, 0.0, 10, 2,
+                              cull=False)
+        # A later start of an option whose first leaf passed.
+        with pytest.raises(StrlError, match="nonnegative"):
+            generate_job_strl(self.options(),
+                              lambda t: 1.0 if t < 25.0 else -1.0, 0.0, 10, 2,
+                              cull=False)
+
     def test_now_offset_shifts_completion(self):
         vf = StepValue(value=1.0, deadline=115.0)
         expr = generate_job_strl([SpaceOption(ALL, 2, 20)], vf, now=100.0,
