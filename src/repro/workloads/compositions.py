@@ -19,7 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
+from repro.sim.jobs import GpuType, MpiType, UnconstrainedType
 from repro.workloads.swim import FB2009_2, GS_SYNTHETIC, YAHOO_1, JobClassSpec
+
+#: Placement-preference implementations by type name.  The slowdown factor
+#: follows the paper's examples (Fig. 1: GPU/MPI jobs run 3 time units
+#: instead of 2 on sub-optimal placements -> 1.5x).
+JOB_TYPES = {
+    "unconstrained": UnconstrainedType(),
+    "gpu": GpuType(slowdown=1.5),
+    "mpi": MpiType(slowdown=1.5),
+}
 
 
 @dataclass(frozen=True)
@@ -36,6 +46,13 @@ class WorkloadComposition:
     def __post_init__(self) -> None:
         if not 0.0 <= self.slo_fraction <= 1.0:
             raise WorkloadError("slo_fraction must be within [0, 1]")
+        unknown = set(self.slo_type_mix) - set(JOB_TYPES)
+        if unknown:
+            raise WorkloadError(f"unknown job types {sorted(unknown)}; "
+                                f"known: {sorted(JOB_TYPES)}")
+        if any(f < 0 for f in self.slo_type_mix.values()):
+            raise WorkloadError(
+                f"type mix fractions must be nonnegative: {self.slo_type_mix}")
         total = sum(self.slo_type_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise WorkloadError(

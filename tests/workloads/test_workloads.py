@@ -71,6 +71,24 @@ class TestCompositions:
         with pytest.raises(WorkloadError):
             WorkloadComposition("bad", 0.5, {"gpu": 0.7}, FB2009_2, YAHOO_1)
 
+    def test_negative_type_fraction_rejected(self):
+        # Sums to 1, so only the sign check stands between it and a CDF
+        # that is not monotone (silently drawing the wrong types).
+        from repro.workloads import WorkloadComposition
+        from repro.workloads.swim import GS_SYNTHETIC
+        with pytest.raises(WorkloadError, match="nonnegative"):
+            WorkloadComposition("bad", 0.5, {"gpu": 1.5, "mpi": -0.5},
+                                GS_SYNTHETIC, GS_SYNTHETIC)
+
+    def test_unknown_type_name_rejected(self):
+        # Used to pass here and die with a bare KeyError once every job
+        # had been drawn.
+        from repro.workloads import WorkloadComposition
+        from repro.workloads.swim import GS_SYNTHETIC
+        with pytest.raises(WorkloadError, match="fpga"):
+            WorkloadComposition("bad", 0.5, {"gpu": 0.5, "fpga": 0.5},
+                                GS_SYNTHETIC, GS_SYNTHETIC)
+
 
 class TestGridmix:
     @pytest.fixture()
