@@ -85,7 +85,7 @@ class ClusterState:
         unknown = nodes - self.universe
         if unknown:
             raise ClusterError(f"unknown nodes: {sorted(unknown)}")
-        busy = {n for n in nodes if n in self._node_owner}
+        busy = self._node_owner.keys() & nodes
         if busy:
             owners = {self._node_owner[n] for n in busy}
             raise SchedulerError(
@@ -94,8 +94,7 @@ class ClusterState:
             raise SchedulerError("expected_end must be after start_time")
         self._allocations[job_id] = RunningAllocation(
             job_id, nodes, start_time, expected_end)
-        for n in nodes:
-            self._node_owner[n] = job_id
+        self._node_owner.update(dict.fromkeys(nodes, job_id))
         self._expect(nodes, expected_end)
 
     def _expect(self, nodes: frozenset[str], release: float) -> None:

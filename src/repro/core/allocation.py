@@ -187,5 +187,5 @@ class PlanAccumulator:
             return frozenset()
         picked = np.concatenate(chosen)
         self._occ[start:start + duration, picked] = True
-        order = self._state.node_order
-        return frozenset(order[r] for r in picked.tolist())
+        return frozenset(map(self._state.node_order.__getitem__,
+                             picked.tolist()))

@@ -27,13 +27,16 @@ sense), objective term and leaf-table entry it generates straight onto the
 list buffers of a :class:`JobFragment`, numbered in the cycle's column
 space (fragments are compiled in batch order, each starting where the one
 before ended); nothing builds a ``LinExpr``, a ``Variable`` or a
-``Constraint``.  :func:`assemble_batch` concatenates the fragments' columns
-and leaf tables, one conversion per buffer, and reads every partition's
-availability: all a cycle that books directly ever looks at.  The MILP — the
-cross-job supply rows, derived by one grouped sort over the leaf table (which
-doubles as the ``used(x, t)`` ledger), and the CSR export wrapped in an
-array-backed :class:`~repro.solver.model.Model` — is assembled the first
-time something reads :attr:`CompiledBatch.model`.
+``Constraint``.  :func:`assemble_batch` reads every partition's
+availability and keeps the fragments as they are: their buffers are the
+leaf table's one eager form.  A cycle that books directly reads the leaves
+it tries from them and records what it chose, and its MILP's sizes are
+counted run by run on them (:func:`_sizes`).  The table's arrays are
+packed, one conversion per buffer, the first time something reads the whole
+table; the MILP — the cross-job supply rows, derived by one grouped sort
+over the packed table (which doubles as the ``used(x, t)`` ledger), and the
+CSR export wrapped in an array-backed :class:`~repro.solver.model.Model` —
+the first time something reads :attr:`CompiledBatch.model`.
 
 The export is pinned bit for bit — column order, within-row coefficient
 order, bounds, right-hand sides, signed zeros — by
@@ -46,10 +49,11 @@ job-scoped, stable across cycles, and only generated when somebody reads
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Callable
+from operator import add, mul
 
 import numpy as np
 
@@ -75,9 +79,9 @@ _DEMAND_NCK, _DEMAND_LNCK, _CHOICE, _MIN, _BARRIER = range(5)
 class LeafRecord:
     """One row of the leaf table as an object (the audit/test view).
 
-    Maps the leaf's decision columns back to scheduling semantics.  The
-    cycle itself decodes from :class:`CompiledBatch`'s leaf arrays; these
-    records are built from them on first access to
+    Maps the leaf's decision columns back to scheduling semantics.  A
+    solver's point decodes through :class:`CompiledBatch`'s packed leaf
+    arrays; these records are built from them on first access to
     :attr:`CompiledBatch.leaf_records`.
     """
 
@@ -167,42 +171,50 @@ class CompiledBatch:
     leaf's own indicator with coefficient ``k`` where ``P == k * I`` was
     substituted (:meth:`StrlCompiler._leaves`).
 
+    The table's one eager form is the :attr:`fragments`' list buffers.  Its
+    arrays — those above and :attr:`col_ub` — are packed by one vectorized
+    pass the first time something reads the whole table: the model's
+    assembly, the audit, a warm start, a test.  A booked cycle reads none of
+    them: its sizes (:attr:`stats`) are counted on the fragments, the
+    booking attempt (:meth:`book_directly`) reads the buffers of the leaves
+    it tries and records what it chose, :meth:`decode` /
+    :meth:`chosen_plan` return that record for the booked point, and
+    :attr:`objective` is built on its own from the fragments' objective
+    maps.
+
     Everything here was read from the cluster ledger when the batch was
     compiled; nothing reads it again, whenever :attr:`model` is assembled.
     """
 
     partitioning: Partitioning
     horizon: int
-    job_order: list[str]
+    #: The jobs' compiled fragments, in batch order, numbered back to back
+    #: in the cycle's column space.
+    fragments: list[JobFragment]
     #: Top-level indicator column of every job in the batch.
     job_columns: dict[str, int]
-    leaves: list[NCk | LnCk]
-    #: Leaf-table index of each job's first leaf, then the table length.
-    job_first: list[int]
-    leaf_indicator: np.ndarray
-    leaf_ptr: np.ndarray
-    leaf_pcol: np.ndarray
-    leaf_pid: np.ndarray
-    leaf_coef: np.ndarray
-    #: Per model column: upper bound (the lower bound is 0) and
-    #: maximize-sense objective coefficient.
-    col_ub: np.ndarray
-    objective: np.ndarray
     #: ``avail(x, t)``, one row per partition: the free-node count per
     #: quantum the supply rows are written against.
     supply: np.ndarray
-    _assemble: Callable[[], Model]
-    #: :meth:`Model.stats` of the cycle MILP, assembled or not.
-    stats: dict[str, int] = field(default_factory=dict)
     #: Kill-decision column per preemption candidate.
     preemption_columns: dict[str, int] = field(default_factory=dict)
     #: Elastic extension: running jobs whose width the solver may re-plan.
     resize_candidates: dict[str, ResizeCandidate] = field(default_factory=dict)
     #: Every job's fragment is flat (see :attr:`JobFragment.flat`).
     flat: bool = False
+    #: What the model adds to the fragments: each kill decision's objective
+    #: penalty, the candidates' supply credits (:func:`_freed_entries`) and
+    #: one resize-commit row per job that needs one.
+    _penalties: list[float] = field(default_factory=list)
+    _freed: tuple[list[int], list[int], list[float]] | None = None
+    _commit_rows: dict[str, dict[int, float]] = field(default_factory=dict)
     _model: Model | None = None
     _records: list[LeafRecord] | None = None
     _booking: tuple | None = None
+    #: ``(leaf index, job id, leaf, {pid: count})`` per leaf the booked
+    #: point switches on, in table order.
+    _booked: list[tuple[int, str, NCk, dict[int, int]]] = field(
+        default_factory=list)
 
     @property
     def model(self) -> Model:
@@ -218,10 +230,93 @@ class CompiledBatch:
         return self._model is not None
 
     @cached_property
+    def stats(self) -> dict[str, int]:
+        """:meth:`Model.stats` of the cycle MILP, assembled or not: read
+        off the model where it was assembled, else counted on the fragments
+        (:func:`_sizes`)."""
+        if self._model is not None:
+            return self._model.stats()
+        return _sizes(self.fragments, len(self._penalties))
+
+    @property
+    def num_columns(self) -> int:
+        """The MILP's columns: the fragments', then the kill decisions."""
+        last = self.fragments[-1]
+        return last.base + len(last.col_ub) + len(self._penalties)
+
+    # -- the leaf table, packed on first read ----------------------------
+    @cached_property
+    def _packed(self) -> _Packed:
+        obs.count("scheduler.leaf_table.packed")
+        return _Packed(self.fragments)
+
+    @property
+    def packed(self) -> bool:
+        """Whether something has read the leaf table's arrays."""
+        return "_packed" in self.__dict__
+
+    @property
+    def leaf_indicator(self) -> np.ndarray:
+        return self._packed.leaf_indicator
+
+    @property
+    def leaf_ptr(self) -> np.ndarray:
+        return self._packed.leaf_ptr
+
+    @property
+    def leaf_pcol(self) -> np.ndarray:
+        return self._packed.leaf_pcol
+
+    @property
+    def leaf_pid(self) -> np.ndarray:
+        return self._packed.leaf_pid
+
+    @property
+    def leaf_coef(self) -> np.ndarray:
+        return self._packed.leaf_coef
+
+    @cached_property
+    def col_ub(self) -> np.ndarray:
+        """Per model column: upper bound (the lower bound is 0)."""
+        if not self._penalties:
+            return self._packed.col_ub
+        return np.concatenate([self._packed.col_ub,
+                               np.ones(len(self._penalties))])
+
+    @cached_property
+    def objective(self) -> np.ndarray:
+        """Per model column: maximize-sense objective coefficient (a kill
+        decision's is ``-penalty``)."""
+        frags = self.fragments
+        objective = np.zeros(self.num_columns)
+        cols = np.fromiter(_chained(frags, "objective"), np.int64)
+        objective[cols] = np.fromiter(
+            chain.from_iterable(f.objective.values() for f in frags),
+            float, count=cols.shape[0])
+        if self._penalties:
+            objective[-len(self._penalties):] = [-p for p in self._penalties]
+        return objective
+
+    @cached_property
+    def leaves(self) -> list[NCk | LnCk]:
+        """Leaf ``i`` of the table."""
+        return list(_chained(self.fragments, "leaves"))
+
+    @cached_property
+    def job_order(self) -> list[str]:
+        return [frag.job_id for frag in self.fragments]
+
+    @cached_property
+    def job_first(self) -> list[int]:
+        """Leaf-table index of each job's first leaf, then the table length."""
+        return list(accumulate((len(f.leaves) for f in self.fragments),
+                               initial=0))
+
+    @cached_property
     def availability(self) -> dict[int, np.ndarray]:
         """:attr:`supply` of every partition some leaf draws on, by pid."""
-        return {pid: self.supply[pid]
-                for pid in np.unique(self.leaf_pid).tolist()}
+        pids = set(chain.from_iterable(f.leaf_pid for f in self.fragments))
+        return {pid: self.supply[pid] for pid in sorted(pids)}
 
     def objective_value(self, x: np.ndarray) -> float:
         """``model.objective_value(x)``, bit for bit, without the model."""
@@ -299,21 +394,34 @@ class CompiledBatch:
                 chosen.setdefault(leaf, {})[pid] = int(count)
         return list(chosen.items())
 
+    def _chosen(self, x: np.ndarray
+                ) -> list[tuple[int, str, NCk | LnCk, dict[int, int]]]:
+        """``(leaf index, job id, leaf, {pid: count})`` of every leaf the
+        solution uses: what booking recorded, for the booked point; none,
+        for the all-zero point; else :meth:`active_leaves` over the packed
+        table."""
+        if self._booking is not None and x is self._booking[0]:
+            return self._booked
+        if not np.any(x):  # the empty plan (an arrival cycle's miss)
+            return []
+        first, frags = self.job_first, self.fragments
+        chosen = []
+        for i, counts in self.active_leaves(x):
+            j = bisect_right(first, i) - 1
+            chosen.append((i, frags[j].job_id,
+                           frags[j].leaves[i - first[j]], counts))
+        return chosen
+
     def decode(self, x: np.ndarray) -> list[PlannedPlacement]:
         """Decode a MILP solution into the set of active placements."""
-        placements = []
-        for i, counts in self.active_leaves(x):
-            leaf = self.leaves[i]
-            placements.append(PlannedPlacement(
-                job_id=self.job_of(i), start=leaf.start,
-                duration=leaf.duration, node_counts=counts,
-                value=leaf.value))
-        return placements
+        return [PlannedPlacement(job_id=job_id, start=leaf.start,
+                                 duration=leaf.duration, node_counts=counts,
+                                 value=leaf.value)
+                for _, job_id, leaf, counts in self._chosen(x)]
 
     def chosen_plan(self, x: np.ndarray) -> list[tuple[str, NCk | LnCk]]:
         """``(job id, leaf)`` of every active leaf: next cycle's warm start."""
-        return [(self.job_of(i), self.leaves[i])
-                for i, _ in self.active_leaves(x)]
+        return [(job_id, leaf) for _, job_id, leaf, _ in self._chosen(x)]
 
     def scheduled_jobs(self, x: np.ndarray) -> set[str]:
         """Jobs whose top-level indicator is on in the solution."""
@@ -350,24 +458,21 @@ class CompiledBatch:
     def _book(self) -> tuple[np.ndarray | None, tuple[str, int, int] | None]:
         if not self.flat or self.preemption_columns or self.resize_candidates:
             return None, None
-        # Over the whole table, vectorized: what each entry's column can
-        # draw.  Everything after that loops over what a decision visits:
-        # the jobs booked before the first miss, and the leaves tried for
-        # each.  The tie-breaks are counted (over the whole table) the
-        # first time a decision has a tie to break.
-        leaves, ptr, pid_of = self.leaves, self.leaf_ptr, self.leaf_pid
-        supply, first = self.supply, self.job_first
+        # Reads the fragments' buffers, never the packed table, and loops
+        # over what a decision visits: the jobs booked before the first
+        # miss, and the leaves tried for each.  The tie-breaks are counted
+        # (over the fragments' partition buffers) the first time a decision
+        # has a tie to break.
+        supply = self.supply
         left = supply.astype(float)
-        cap = self.col_ub[self.leaf_pcol] * self.leaf_coef
-        counted: list = []
+        counted: Counter = Counter()
 
-        def crowding() -> list:
-            """Leaf-table entries per partition — how much of the batch can
-            use it — and per leaf the same summed over its partitions."""
+        def crowding() -> Counter:
+            """Leaf-table entries per partition: how much of the batch can
+            use it."""
             if not counted:
-                wanted = np.bincount(pid_of, minlength=supply.shape[0])
-                counted.extend((wanted.tolist(),
-                                np.add.reduceat(wanted[pid_of], ptr[:-1])))
+                counted.update(chain.from_iterable(
+                    f.leaf_pid for f in self.fragments))
             return counted
 
         def room(grid: np.ndarray, caps: list, pids: list,
@@ -375,23 +480,33 @@ class CompiledBatch:
             """Nodes a leaf can take from each of its partitions."""
             return [min(c, grid[p, span].min()) for c, p in zip(caps, pids)]
 
-        x = np.zeros(self.col_ub.shape[0])
-        for j, job_id in enumerate(self.job_order):
-            # Job j's leaves, best value first; among equals, the one whose
+        x = np.zeros(self.num_columns)
+        booked = self._booked
+        offset = 0  # leaf-table index of the fragment's first leaf
+        for frag in self.fragments:
+            # The job's leaves, best value first; among equals, the one whose
             # partitions the rest of the batch can use least.
-            lo, hi = first[j], first[j + 1]
-            keys = [-leaf.value for leaf in leaves[lo:hi]]
+            leaves, base = frag.leaves, frag.base
+            pid_of, parts = frag.leaf_pid, frag.leaf_parts
+            keys = [-leaf.value for leaf in leaves]
             if len(set(keys)) < len(keys):
-                keys = list(zip(keys, crowding()[1][lo:hi].tolist()))
+                # A run's leaves draw on the same partitions: one sum each.
+                wanted = crowding()
+                keys = list(zip(keys, chain.from_iterable(
+                    [sum(wanted[p] for p in pids)] * n
+                    for _, n, pids in frag.runs)))
             lost = None  # best leaf that fits the supply but not what is left
-            for i in sorted(range(hi - lo), key=keys.__getitem__):
-                i += lo
+            for i in sorted(range(len(leaves)), key=keys.__getitem__):
                 leaf = leaves[i]
                 if leaf.value <= 0.0 or (lost is not None
                                          and leaf.value < leaves[lost].value):
                     break
-                e0, e1 = ptr[i:i + 2].tolist()
-                caps, pids = cap[e0:e1].tolist(), pid_of[e0:e1].tolist()
+                e0 = sum(parts[:i])
+                e1 = e0 + parts[i]
+                pids, pcols = pid_of[e0:e1], frag.leaf_pcol[e0:e1]
+                coefs = frag.leaf_coef[e0:e1]
+                caps = [frag.col_ub[c - base] * coef
+                        for c, coef in zip(pcols, coefs)]
                 span = slice(leaf.start, leaf.start + leaf.duration)
                 free = room(left, caps, pids, span)
                 if sum(free) < leaf.k:
@@ -404,27 +519,34 @@ class CompiledBatch:
                 # partition a narrower one can live in.
                 need, order = leaf.k, range(e1 - e0)
                 if len(order) > 1:
-                    wanted = crowding()[0]
+                    wanted = crowding()
                     order = sorted(order, key=lambda e: wanted[pids[e]])
+                taken = [0] * (e1 - e0)
                 for e in order:
                     take = min(need, free[e])
                     if take > 0:
-                        x[self.leaf_pcol[e0 + e]] = (
-                            take / self.leaf_coef[e0 + e])
+                        x[pcols[e]] = take / coefs[e]
                         left[pids[e], span] -= take
                         need -= take
-                x[self.leaf_indicator[i]] = 1.0
-                x[self.job_columns[job_id]] = 1.0
+                        taken[e] = take
+                x[frag.leaf_indicator[i]] = 1.0
+                x[base] = 1.0
+                booked.append((offset + i, frag.job_id, leaf, {
+                    pid: int(take) for pid, take in zip(pids, taken)
+                    if take > 0}))
                 lost = None
                 break
             if lost is not None:
-                rows = pid_of[ptr[lost]:ptr[lost + 1]]
+                booked.clear()
+                e0 = sum(parts[:lost])
+                rows = pid_of[e0:e0 + parts[lost]]
                 span = slice(leaves[lost].start,
                              leaves[lost].start + leaves[lost].duration)
                 taken = supply[rows, span] - left[rows, span]
                 row, quantum = np.unravel_index(np.argmax(taken), taken.shape)
-                return None, (job_id, int(rows[row]),
+                return None, (frag.job_id, int(rows[row]),
                               leaves[lost].start + int(quantum))
+            offset += len(leaves)
         return x, None
 
     def jobs_by_component(self, decomp) -> list[list[str]]:
@@ -439,6 +561,45 @@ class CompiledBatch:
         return [[owner[int(gi)] for gi in comp.global_indices
                  if int(gi) in owner]
                 for comp in decomp.components]
+
+    def _assemble(self) -> Model:
+        """Fragment rows, then resize-commit rows, then supply rows
+        (:func:`_supply_rows`), as a CSR export in an array-backed model."""
+        obs.count("scheduler.model.assembled")
+        packed, horizon, fragments = self._packed, self.horizon, self.fragments
+        (lengths, cols, coefs, rhs), supply_keys = _supply_rows(
+            packed, horizon, self.supply, self._freed)
+        commit_rows = self._commit_rows
+        if commit_rows:
+            lengths = np.concatenate(
+                [[len(row) for row in commit_rows.values()], lengths])
+            cols = np.concatenate([np.fromiter(chain.from_iterable(
+                commit_rows.values()), np.int64), cols])
+            coefs = np.concatenate([np.fromiter(chain.from_iterable(
+                row.values() for row in commit_rows.values()), float), coefs])
+            rhs = np.concatenate([np.zeros(len(commit_rows)), rhs])
+        domains = np.concatenate([
+            packed.col_domain,
+            np.full(len(self._penalties), _BINARY, dtype=np.int8)])
+        arrays, row_is_eq = packed.export((lengths, cols, coefs, rhs),
+                                          self.col_ub, self.objective,
+                                          domains)
+        victims, commits = list(self.preemption_columns), list(commit_rows)
+
+        def col_names() -> list[str]:
+            return (list(chain.from_iterable(
+                f.column_names() for f in fragments))
+                + [f"R[{job_id}]" for job_id in victims])
+
+        def row_names() -> list[str]:
+            return (list(chain.from_iterable(f.row_names() for f in fragments))
+                    + [f"resize-commit[{job_id}]" for job_id in commits]
+                    + [f"supply[p{key // horizon},t{key % horizon}]"
+                       for key in supply_keys.tolist()])
+
+        return Model.from_arrays("tetrisched-cycle", arrays, ArrayLayout(
+            domains=domains, row_is_eq=row_is_eq, col_names=col_names,
+            row_names=row_names))
 
 
 @dataclass
@@ -492,6 +653,13 @@ class JobFragment:
     leaf_pcol: list[int] = field(default_factory=list)
     leaf_pid: list[int] = field(default_factory=list)
     leaf_coef: list[float] = field(default_factory=list)
+    #: One ``(first leaf, leaves, partitions)`` per run ``_leaves`` wrote:
+    #: leaves ``first .. first + leaves - 1`` all draw on the same
+    #: partitions, so the supply cells a run covers are one union of
+    #: intervals per run (:func:`_sizes`).
+    runs: list[tuple[int, int, list[int]]] = field(default_factory=list)
+    #: The last quantum any leaf touches, plus one.
+    horizon: int = 0
     #: The root is an ``nCk`` or a ``max`` of ``nCk``: the job switches on at
     #: most one leaf and is worth exactly that leaf's value, which is what
     #: :meth:`CompiledBatch.book_directly`'s bound rests on.
@@ -548,83 +716,57 @@ def _csr(lengths: np.ndarray, cols: np.ndarray, coefs: np.ndarray,
 
 
 class _Packed:
-    """Fragment buffers back to back, each converted once.
+    """The fragments' leaf tables and columns back to back, each buffer
+    converted once.
 
     Fragments number their columns in the cycle's column space, so packing
-    is concatenation: every integer buffer of the columns and the leaf table
-    goes through one ``fromiter``, every float buffer through another, and
-    the attributes below are views of those.  Rows are packed only by
-    :meth:`export`; they keep fragment order and, within a fragment, emission
-    order — which is the assembled model's constraint order, so splitting
-    them by ``row_is_eq`` yields the export's ``a_ub`` / ``a_eq`` blocks
-    directly.
+    is concatenation: every integer buffer of the leaf table goes through
+    one ``fromiter``, the float buffers through another, and the attributes
+    below are views of those.  Rows are
+    packed only by :meth:`export`; they keep fragment order and, within a
+    fragment, emission order — which is the assembled model's constraint
+    order, so splitting them by ``row_is_eq`` yields the export's ``a_ub`` /
+    ``a_eq`` blocks directly.
     """
 
     def __init__(self, fragments: list[JobFragment]) -> None:
         self.fragments = fragments
-        self.ncols = ncols = fragments[-1].base + len(fragments[-1].col_ub)
-        self.job_first = list(accumulate((len(f.leaves) for f in fragments),
-                                         initial=0))
-        leaves = self.job_first[-1]
+        ncols = fragments[-1].base + len(fragments[-1].col_ub)
+        leaves = sum(len(f.leaves) for f in fragments)
         entries = sum(len(f.leaf_pcol) for f in fragments)
-        terms = sum(len(f.objective) for f in fragments)
         # Four per leaf (leaf_parts after a 0: it becomes leaf_ptr in place),
-        # two per leaf-table entry, then the objective's columns.
+        # then two per leaf-table entry.
         ints = np.fromiter(chain(
             _chained(fragments, "leaf_indicator"),
             _chained(fragments, "leaf_start"),
             _chained(fragments, "leaf_duration"),
             (0,), _chained(fragments, "leaf_parts"),
-            _chained(fragments, "leaf_pcol"), _chained(fragments, "leaf_pid"),
-            _chained(fragments, "objective")),
-            np.int64, count=4 * leaves + 1 + 2 * entries + terms)
+            _chained(fragments, "leaf_pcol"), _chained(fragments, "leaf_pid")),
+            np.int64, count=4 * leaves + 1 + 2 * entries)
         self.leaf_indicator = ints[:leaves]
-        #: Per leaf: its interval (start, then duration); per leaf-table
-        #: entry: the same, repeated over the leaf's partitions.
-        self.intervals = ints[leaves:3 * leaves].reshape(2, leaves)
+        #: Per leaf-table entry: its leaf's interval (start, then duration).
+        self.entry_start, self.entry_dur = ints[leaves:3 * leaves].reshape(
+            2, leaves).repeat(ints[3 * leaves + 1:4 * leaves + 1], axis=1)
         self.leaf_ptr = ints[3 * leaves:4 * leaves + 1]
-        self.entry_start, self.entry_dur = self.intervals.repeat(
-            self.leaf_ptr[1:], axis=1)
         self.leaf_ptr.cumsum(out=self.leaf_ptr)
         at = 4 * leaves + 1
         self.leaf_pcol = ints[at:at + entries]
-        self.leaf_pid = ints[at + entries:at + 2 * entries]
-        floats = np.fromiter(chain(
-            _chained(fragments, "col_ub"), _chained(fragments, "leaf_coef"),
-            chain.from_iterable(f.objective.values() for f in fragments)),
-            float, count=ncols + entries + terms)
+        self.leaf_pid = ints[at + entries:]
+        floats = np.fromiter(chain(_chained(fragments, "col_ub"),
+                                   _chained(fragments, "leaf_coef")),
+                             float, count=ncols + entries)
+        #: Per fragment column: upper bound and domain code.
         self.col_ub = floats[:ncols]
-        self.leaf_coef = floats[ncols:ncols + entries]
-        self.objective = np.zeros(ncols)
-        self.objective[ints[at + 2 * entries:]] = floats[ncols + entries:]
         self.col_domain = _concat(fragments, "col_domain", np.int8)
+        self.leaf_coef = floats[ncols:]
 
-    def sizes(self, partitions: int, horizon: int) -> dict[str, int]:
-        """:meth:`Model.stats` of fragments plus supply rows, counted on the
-        leaf table: a row per distinct ``(partition, quantum)`` cell some
-        entry's interval covers, a nonzero per quantum covered."""
-        width, frags = horizon + 1, self.fragments
-        at = self.leaf_pid * width + self.entry_start
-        opened = np.bincount(at, minlength=partitions * width)
-        opened -= np.bincount(at + self.entry_dur, minlength=opened.shape[0])
-        continuous, _, binary = np.bincount(self.col_domain,
-                                            minlength=3).tolist()
-        return {
-            "variables": self.ncols,
-            "integer_variables": self.ncols - continuous,
-            "binary_variables": binary,
-            "constraints": sum(f.num_constraints for f in frags)
-            + int(np.count_nonzero(opened.reshape(-1, width).cumsum(axis=1))),
-            "nonzeros": sum(len(f.row_cols) for f in frags)
-            + int(self.entry_dur.sum())}
-
-    def export(self, extra_ub: tuple[np.ndarray, ...],
-               col_ub: np.ndarray, objective: np.ndarray
+    def export(self, extra_ub: tuple[np.ndarray, ...], col_ub: np.ndarray,
+               objective: np.ndarray, domains: np.ndarray
                ) -> tuple[SparseArrays, np.ndarray]:
         """The CSR export and its per-row equality flags: fragment rows,
         then the ``extra_ub`` rows ``(lengths, cols, coefs, rhs)``, over
-        columns with the given bounds and (maximize-sense) objective —
-        the fragments' and one binary per column beyond them."""
+        columns with the given bounds, (maximize-sense) objective and
+        domain codes."""
         n, frags = col_ub.shape[0], self.fragments
         row_len = _concat(frags, "row_len")
         row_is_eq = _concat(frags, "row_is_eq", dtype=bool)
@@ -645,9 +787,7 @@ class _Packed:
             b_ub=b_ub,
             a_eq=_csr(eq_len, row_cols[entry_eq], row_coefs[entry_eq], n),
             b_eq=np.full(eq_len.shape[0], -0.0),
-            lb=np.zeros(n), ub=col_ub,
-            integrality=np.concatenate([self.col_domain != _CONTINUOUS,
-                                        np.ones(n - self.ncols, dtype=bool)]))
+            lb=np.zeros(n), ub=col_ub, integrality=domains != _CONTINUOUS)
         return arrays, np.concatenate(
             [row_is_eq, np.zeros(lengths.shape[0], dtype=bool)])
 
@@ -724,6 +864,38 @@ def _supply_rows(packed: _Packed, horizon: int, grid: np.ndarray,
     return (lengths, cols[order], coefs[order], rhs), row_keys
 
 
+def _sizes(fragments: list[JobFragment], kills: int) -> dict[str, int]:
+    """:meth:`Model.stats` of the MILP of ``fragments`` plus ``kills``
+    kill-decision columns and no supply credits, counted on the fragments'
+    buffers: a supply row per distinct ``(partition, quantum)`` cell some
+    leaf-table entry covers — per partition, the union (bit ``t`` = quantum
+    ``t`` of a Python int) of its runs' intervals — and a nonzero per entry
+    and quantum covered."""
+    cells: dict[int, int] = {}
+    binary = continuous = rows = nonzeros = 0
+    for frag in fragments:
+        starts, durations = frag.leaf_start, frag.leaf_duration
+        for first, leaves, pids in frag.runs:
+            covered = 0
+            for start, duration in zip(starts[first:first + leaves],
+                                       durations[first:first + leaves]):
+                covered |= ~(-1 << duration) << start
+            for pid in pids:
+                cells[pid] = cells.get(pid, 0) | covered
+        binary += frag.col_domain.count(_BINARY)
+        continuous += frag.col_domain.count(_CONTINUOUS)
+        rows += len(frag.row_len)
+        nonzeros += len(frag.row_cols) + sum(map(mul, frag.leaf_parts,
+                                                 durations))
+    variables = fragments[-1].base + len(fragments[-1].col_ub) + kills
+    return {
+        "variables": variables,
+        "integer_variables": variables - continuous,
+        "binary_variables": binary + kills,
+        "constraints": rows + sum(c.bit_count() for c in cells.values()),
+        "nonzeros": nonzeros}
+
+
 def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
                    state: ClusterState, quantum_s: float, now: float,
                    preemptible: list[PreemptionCandidate] | None = None,
@@ -731,27 +903,27 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
                    ) -> CompiledBatch:
     """Assemble compiled job fragments into one cycle :class:`CompiledBatch`.
 
-    Columns and leaf tables are packed back to back (:class:`_Packed`), next
-    to one binary kill-decision column per ``preemptible`` candidate, and
-    everything that depends on the cluster is read here: every partition's
-    availability up to the batch horizon (the last quantum any leaf
-    touches), the candidates' supply credits.
-    ``resizable`` entries add no columns: each candidate's fragment root
-    indicator doubles as the release decision, freeing the job's
-    currently-held nodes in every supply row they appear in.
+    The fragments are kept as they are, next to one binary kill-decision
+    column per ``preemptible`` candidate; everything that depends on the
+    cluster is read here: every partition's availability up to the batch
+    horizon (the last quantum any leaf touches), the candidates' supply
+    credits.  ``resizable`` entries add no columns: each candidate's
+    fragment root indicator doubles as the release decision, freeing the
+    job's currently-held nodes in every supply row they appear in.
 
-    The model — fragment rows, supply rows (:func:`_supply_rows`), CSR
-    export — is built from that by the first read of
-    :attr:`CompiledBatch.model`; at once for a batch with candidates, which
-    cannot book directly and whose size depends on the credits.
+    The leaf table's arrays are packed by the first read of one of them,
+    and the model — fragment rows, supply rows (:func:`_supply_rows`), CSR
+    export — by the first read of :attr:`CompiledBatch.model`; both at once
+    for a batch with candidates, which cannot book directly and whose size
+    depends on the credits.
     """
     obs.count("scheduler.model.compiled")
     preemptible = preemptible or []
     resizable = resizable or []
-    packed = _Packed(fragments)
-    horizon = int((packed.intervals[0] + packed.intervals[1]).max())
+    horizon = max(frag.horizon for frag in fragments)
     job_columns = {frag.job_id: frag.base for frag in fragments}
-    preemption_columns = {cand.job_id: packed.ncols + i
+    first_kill = fragments[-1].base + len(fragments[-1].col_ub)
+    preemption_columns = {cand.job_id: first_kill + i
                           for i, cand in enumerate(preemptible)}
     #: (held nodes, releasing column): kills first, then width re-plans.
     candidates = [(cand.nodes, preemption_columns[cand.job_id])
@@ -781,64 +953,20 @@ def assemble_batch(fragments: list[JobFragment], partitioning: Partitioning,
             coeffs[root] = coeffs.get(root, 0.0) + 1.0
             commit_rows[cand.job_id] = coeffs
 
-    grid = state.availability_grid(partitioning, horizon, now, quantum_s)
-    freed = (_freed_entries(candidates, partitioning, state, horizon,
-                            quantum_s, now) if candidates else None)
-    col_ub, objective = packed.col_ub, packed.objective
-    if preemptible:
-        col_ub = np.concatenate([col_ub, np.ones(len(preemptible))])
-        # Maximize-sense coefficient of a kill decision is -penalty.
-        objective = np.concatenate([objective, np.array(
-            [-float(cand.penalty) for cand in preemptible])])
-
-    def assemble() -> Model:
-        obs.count("scheduler.model.assembled")
-        (lengths, cols, coefs, rhs), supply_keys = _supply_rows(
-            packed, horizon, grid, freed)
-        if commit_rows:
-            lengths = np.concatenate(
-                [[len(row) for row in commit_rows.values()], lengths])
-            cols = np.concatenate([np.fromiter(chain.from_iterable(
-                commit_rows.values()), np.int64), cols])
-            coefs = np.concatenate([np.fromiter(chain.from_iterable(
-                row.values() for row in commit_rows.values()), float), coefs])
-            rhs = np.concatenate([np.zeros(len(commit_rows)), rhs])
-        arrays, row_is_eq = packed.export((lengths, cols, coefs, rhs),
-                                          col_ub, objective)
-
-        def col_names() -> list[str]:
-            return (list(chain.from_iterable(
-                f.column_names() for f in fragments))
-                + [f"R[{cand.job_id}]" for cand in preemptible])
-
-        def row_names() -> list[str]:
-            return (list(chain.from_iterable(f.row_names() for f in fragments))
-                    + [f"resize-commit[{job_id}]" for job_id in commit_rows]
-                    + [f"supply[p{key // horizon},t{key % horizon}]"
-                       for key in supply_keys.tolist()])
-
-        return Model.from_arrays("tetrisched-cycle", arrays, ArrayLayout(
-            domains=np.concatenate(
-                [packed.col_domain,
-                 np.full(len(preemptible), _BINARY, dtype=np.int8)]),
-            row_is_eq=row_is_eq, col_names=col_names, row_names=row_names))
-
-    model = assemble() if candidates else None
-    return CompiledBatch(
-        partitioning=partitioning, horizon=horizon,
-        job_order=[frag.job_id for frag in fragments],
+    batch = CompiledBatch(
+        partitioning=partitioning, horizon=horizon, fragments=fragments,
         job_columns=job_columns,
-        leaves=list(chain.from_iterable(f.leaves for f in fragments)),
-        job_first=packed.job_first, leaf_indicator=packed.leaf_indicator,
-        leaf_ptr=packed.leaf_ptr,
-        leaf_pcol=packed.leaf_pcol, leaf_pid=packed.leaf_pid,
-        leaf_coef=packed.leaf_coef,
-        col_ub=col_ub, objective=objective, supply=grid, _assemble=assemble,
-        stats=(model.stats() if candidates else packed.sizes(
-            partitioning.num_partitions, horizon)),
+        supply=state.availability_grid(partitioning, horizon, now, quantum_s),
         preemption_columns=preemption_columns,
         resize_candidates={cand.job_id: cand for cand in active_resizes},
-        flat=all(frag.flat for frag in fragments), _model=model)
+        flat=all(frag.flat for frag in fragments),
+        _penalties=[float(cand.penalty) for cand in preemptible],
+        _freed=(_freed_entries(candidates, partitioning, state, horizon,
+                               quantum_s, now) if candidates else None),
+        _commit_rows=commit_rows)
+    if candidates:  # assembled at once (see above)
+        batch._model = batch._assemble()
+    return batch
 
 
 def _merge(acc: dict[int, float], terms: dict[int, float]) -> dict[int, float]:
@@ -1086,10 +1214,16 @@ class StrlCompiler:
             frag.row_cols.extend(demand)
             frag.row_coefs.extend(([1.0] * m + [-float(k)]) * r)
 
+        starts = [leaf.start for leaf in run]
+        durations = [leaf.duration for leaf in run]
+        frag.runs.append((len(frag.leaves), r, pids))
+        end = max(map(add, starts, durations))  # the run's last quantum
+        if end > frag.horizon:
+            frag.horizon = end
         frag.leaves.extend(run)
         frag.leaf_indicator.extend(indicators)
-        frag.leaf_start.extend([leaf.start for leaf in run])
-        frag.leaf_duration.extend([leaf.duration for leaf in run])
+        frag.leaf_start.extend(starts)
+        frag.leaf_duration.extend(durations)
         frag.leaf_parts.extend([m] * r)
         frag.leaf_pcol.extend(pcols)
         frag.leaf_pid.extend(pids * r)

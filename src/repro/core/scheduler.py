@@ -802,12 +802,12 @@ class TetriSched:
             with obs.span("compile"):
                 compiler = StrlCompiler(acc, self.config.quantum_s, now)
                 compiled = compiler.compile([(job_id, expr)])
-            tel.milp_variables += compiled.stats["variables"]
-            tel.milp_constraints += compiled.stats["constraints"]
             t0 = time.monotonic()
             with obs.span("solve"):
                 res = self._backend.solve(compiled.model)
             tel.solver_latency_s += time.monotonic() - t0
+            tel.milp_variables += compiled.stats["variables"]
+            tel.milp_constraints += compiled.stats["constraints"]
             tel.absorb(res)
             if not res.status.has_solution or res.x is None:
                 continue

@@ -62,7 +62,8 @@ _HEADLINE_COUNTERS = (
 
 #: Counters a line of their own reports (kept out of "Other counters").
 _DERIVED_COUNTERS = ("scheduler.solve_cycles", "scheduler.direct_booked",
-                     "scheduler.model.compiled", "scheduler.model.assembled")
+                     "scheduler.model.compiled", "scheduler.model.assembled",
+                     "scheduler.leaf_table.packed")
 _ARRIVAL = "scheduler.arrival_cycle."  # one counter per outcome
 
 
@@ -93,7 +94,12 @@ def render_profile(profile: RunProfile, title: str = "Run profile") -> str:
         blocks += ["assembled "
                    f"{profile.counter('scheduler.model.assembled'):.0f} of "
                    f"{profile.counter('scheduler.model.compiled'):.0f} cycle "
-                   "MILPs (the others were compiled and read by nobody)"]
+                   "MILPs (the others were compiled and read by nobody)",
+                   "packed "
+                   f"{profile.counter('scheduler.leaf_table.packed'):.0f} of "
+                   f"{profile.counter('scheduler.model.compiled'):.0f} leaf "
+                   "tables (the others were read from the fragments' buffers "
+                   "alone)"]
     arrivals = sorted(n for n in profile.counters if n.startswith(_ARRIVAL))
     if arrivals:
         blocks += ["arrival cycles (off-period, solver-free): " + ", ".join(

@@ -105,8 +105,6 @@ class Compilation:
         ctx.compiled = StrlCompiler(
             sched.state, ctx.config.quantum_s, ctx.now).compile(
                 ctx.exprs, preemptible=preemptible, resizable=ctx.resizable)
-        ctx.telemetry.milp_variables = ctx.compiled.stats["variables"]
-        ctx.telemetry.milp_constraints = ctx.compiled.stats["constraints"]
 
 
 class ModelBuild:
@@ -116,6 +114,8 @@ class ModelBuild:
     makes that a visible line in the per-stage timings, not noise inside
     ``solve``.  A cycle that books directly (``solve_batch`` reuses the
     attempt) or an arrival cycle hands it to nobody and does not read it.
+    The cycle's MILP sizes are read after that, off the model where there
+    is one, else counted on the batch's fragments.
     """
 
     name = StageName.MODEL_BUILD
@@ -126,6 +126,8 @@ class ModelBuild:
         assert compiled is not None
         if not ctx.arrival and compiled.book_directly()[0] is None:
             compiled.model.to_sparse_arrays()
+        ctx.telemetry.milp_variables = compiled.stats["variables"]
+        ctx.telemetry.milp_constraints = compiled.stats["constraints"]
         ctx.nnz = compiled.stats["nonzeros"]
         if sched._warm_start_wanted and not ctx.arrival:
             ctx.telemetry.warm_start_attempted = True
@@ -138,7 +140,8 @@ class ModelBuild:
         obs.emit("scheduler.model_build",
                  variables=compiled.stats["variables"],
                  constraints=compiled.stats["constraints"],
-                 nnz=ctx.nnz, assembled=compiled.assembled)
+                 nnz=ctx.nnz, assembled=compiled.assembled,
+                 packed=compiled.packed)
 
 
 class Decompose:
@@ -220,7 +223,7 @@ class Solve:
             # Arrival cycle, certificate missed: no block answered; the empty
             # plan (always feasible) is extracted and audited like any result.
             ctx.components = 0
-            x = np.zeros(ctx.compiled.stats["variables"])
+            x = np.zeros(ctx.compiled.num_columns)
             ctx.solution = MILPResult(
                 SolveStatus.FEASIBLE, x, ctx.compiled.objective_value(x))
             return

@@ -103,6 +103,9 @@ class SchedulerService:
         self.stats_path = Path(stats_path) if stats_path else None
         self._lock = threading.Lock()
         self._jobs: dict[str, JobRecord] = {}
+        #: The RUNNING records, so a cycle's auto-completion visits the jobs
+        #: that can complete, not every record the service ever took.
+        self._running: dict[str, JobRecord] = {}
         self._epoch = self.clock.now()
         self._seq = 0
         self._cycles_run = 0
@@ -248,7 +251,7 @@ class SchedulerService:
                 raise ServiceError(
                     f"job {job_id!r} is {rec.state}, not running")
             self.scheduler.on_job_finished(job_id, self.now())
-            rec.state = COMPLETED
+            self._move(rec, COMPLETED)
             rec.finished_at = self.now()
             return rec
 
@@ -273,17 +276,17 @@ class SchedulerService:
         with self._lock:
             now = self.now()
             if self.auto_complete:
-                for rec in self._jobs.values():
-                    if (rec.state == RUNNING and rec.expected_end is not None
-                            and rec.expected_end <= now + 1e-9):
-                        self.scheduler.on_job_finished(rec.job_id, now)
-                        rec.state = COMPLETED
-                        rec.finished_at = now
+                for rec in [rec for rec in self._running.values()
+                            if rec.expected_end is not None
+                            and rec.expected_end <= now + 1e-9]:
+                    self.scheduler.on_job_finished(rec.job_id, now)
+                    self._move(rec, COMPLETED)
+                    rec.finished_at = now
             result = self.scheduler.run_cycle(now, arrival=arrival)
             for alloc in result.allocations:
                 rec = self._jobs.get(alloc.job_id)
                 if rec is not None:
-                    rec.state = RUNNING
+                    self._move(rec, RUNNING)
                     rec.started_at = alloc.start_time
                     rec.expected_end = alloc.expected_end
                     rec.nodes = tuple(sorted(alloc.nodes))
@@ -292,14 +295,14 @@ class SchedulerService:
                 # scheduler: back to pending, nodes released.
                 rec = self._jobs.get(job_id)
                 if rec is not None and rec.state == RUNNING:
-                    rec.state = PENDING
+                    self._move(rec, PENDING)
                     rec.started_at = None
                     rec.expected_end = None
                     rec.nodes = ()
             for job_id in result.culled:
                 rec = self._jobs.get(job_id)
                 if rec is not None and rec.state == PENDING:
-                    rec.state = CULLED
+                    self._move(rec, CULLED)
                     rec.finished_at = now
             self._finish_cancelled(result.cancelled)
             self._cycles_run += 1
@@ -310,11 +313,19 @@ class SchedulerService:
         self._cycle_failures += 1
         obs.emit("service.cycle_failed", cycle=cycle, error=repr(exc))
 
+    def _move(self, rec: JobRecord, state: str) -> None:
+        """Set ``rec.state``, keeping the RUNNING index in step."""
+        rec.state = state
+        if state == RUNNING:
+            self._running[rec.job_id] = rec
+        else:
+            self._running.pop(rec.job_id, None)
+
     def _finish_cancelled(self, job_ids: list[str]) -> None:
         for job_id in job_ids:
             rec = self._jobs.get(job_id)
             if rec is not None and rec.state in (PENDING, RUNNING):
-                rec.state = CANCELLED
+                self._move(rec, CANCELLED)
                 rec.finished_at = self.now()
 
     # -- introspection -------------------------------------------------------

@@ -7,7 +7,10 @@ whole-table versions live on here, verbatim but for reading the batch through
 its public attributes, as the reference: on random batches — single- and
 multi-partition leaves, interval-capped leaves that keep their ``P`` column,
 batches that are not flat — both must return the same ``(x, miss)`` to the
-bit and the same active leaves.
+bit and the same active leaves.  Booking reads the fragments' buffers, not
+the packed table, and records what it chose: the batch's decode of the
+booked point is that record, and it must equal the packed table's decode of
+the same point.
 """
 
 import numpy as np
@@ -172,6 +175,12 @@ def test_booking_and_decoding_match_the_vectorized_reference(
     compiled = StrlCompiler(provider, QUANTUM,
                             minimal_partitioning=minimal).compile(batch)
     x, miss = compiled.book_directly()
+    # Booking read the fragments' buffers: the booked point decodes to the
+    # record it kept, before and after the table is packed, and that is
+    # what the packed arrays decode any other copy of the point to.
+    recorded = (compiled.decode(x), compiled.chosen_plan(x)) if (
+        x is not None) else None
+    assert not compiled.packed
     want_x, want_miss = reference_book(compiled)
     event("booked" if x is not None else
           "missed" if miss is not None else "not flat")
@@ -187,9 +196,15 @@ def test_booking_and_decoding_match_the_vectorized_reference(
         assert x.tobytes() == want_x.tobytes()
         assert (compiled.active_leaves(x)
                 == reference_active_leaves(compiled, x))
+        assert recorded == (compiled.decode(x), compiled.chosen_plan(x)) == (
+            compiled.decode(x.copy()), compiled.chosen_plan(x.copy()))
     point = data.draw(_solutions(compiled))
     assert (compiled.active_leaves(point)
             == reference_active_leaves(compiled, point))
+    # A point changed in place between two decodes decodes to what it holds.
+    compiled.decode(point)
+    point[:] = data.draw(_solutions(compiled))
+    assert compiled.decode(point) == compiled.decode(point.copy())
 
 
 def test_a_batch_that_is_not_flat_is_not_booked():

@@ -119,6 +119,62 @@ class TestLifecycle:
         assert svc.job("b").state == CANCELLED
         assert not svc.scheduler.state.is_running("b")
 
+    def test_a_cycle_visits_running_records_not_every_record(self):
+        """Auto-completion reads the RUNNING index; what it completes is
+        what a scan of every record the service ever took completes."""
+
+        class CountingDict(dict):
+            scans = 0
+
+            def values(self):
+                CountingDict.scans += 1
+                return super().values()
+
+        class FullScan(SchedulerService):
+            """Completes the due jobs the way the service did before it
+            kept an index: a scan of every record, then the cycle."""
+
+            def run_one_cycle(self, arrival=False):
+                now = self.now()
+                for rec in list(self._jobs.values()):
+                    if (rec.state == RUNNING and rec.expected_end is not None
+                            and rec.expected_end <= now + 1e-9):
+                        self.scheduler.on_job_finished(rec.job_id, now)
+                        self._move(rec, COMPLETED)
+                        rec.finished_at = now
+                return super().run_one_cycle(arrival)
+
+        def service(cls, clock):
+            return cls(Cluster.build(racks=2, nodes_per_rack=2),
+                       TetriSchedConfig(quantum_s=10.0, cycle_s=10.0,
+                                        plan_ahead_s=40.0, backend="pure",
+                                        rel_gap=1e-6), clock=clock)
+
+        clocks = FakeClock(), FakeClock()
+        svc, ref = service(SchedulerService, clocks[0]), service(FullScan,
+                                                                 clocks[1])
+        svc._jobs = CountingDict()
+        for round_ in range(40):
+            for i in range(2):  # never more than the cluster holds
+                spec = {"job_id": f"j{round_}-{i}", "priority": "best_effort",
+                        "options": [{"k": 1, "duration_s": 10.0 * (1 + i)}]}
+                svc.submit_spec(spec)
+                ref.submit_spec(spec)
+            if round_ % 7 == 3:  # a running job cancelled
+                svc.cancel(f"j{round_ - 1}-1")
+                ref.cancel(f"j{round_ - 1}-1")
+            svc.run_one_cycle()
+            ref.run_one_cycle()
+            for clock in clocks:
+                clock.advance(10.0)
+            assert ([r.to_dict() for r in svc.jobs()]
+                    == [r.to_dict() for r in ref.jobs()])
+            assert set(svc._running) == {r.job_id for r in svc.jobs()
+                                         if r.state == RUNNING}
+        assert CountingDict.scans == 2 * 40  # the comparisons' jobs() only
+        states = [r.state for r in svc.jobs()]
+        assert states.count(COMPLETED) >= 60 and CANCELLED in states
+
     def test_cancel_terminal_job_is_noop(self):
         clock = FakeClock()
         svc = build(clock)
